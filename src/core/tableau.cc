@@ -130,7 +130,6 @@ util::Result<Tableau> DiscoverTableau(const ConfidenceEvaluator& eval,
                                                &tableau.generation_stats);
     phase_seconds.generate.Record(generate_timer.ElapsedSeconds());
   }
-  tableau.num_candidates = candidates.size();
   // Walk-scheduler observability: how many resumable walks ran, and how
   // full the probe lanes stayed (1.0 = every lane of every round held a
   // live walk; 0 lane slots = the scalar walk ran and the gauge is not
@@ -144,45 +143,59 @@ util::Result<Tableau> DiscoverTableau(const ConfidenceEvaluator& eval,
     lane_occupancy.Set(tableau.generation_stats.LaneOccupancy());
   }
 
-  cover::CoverResult cover;
+  util::Stopwatch cover_timer;
   {
     CR_TRACE_SPAN_ARGS("tableau.cover", "candidates",
                        static_cast<int64_t>(candidates.size()));
     std::vector<interval::Interval> intervals;
+    std::vector<double> confidences;
     intervals.reserve(candidates.size());
+    confidences.reserve(candidates.size());
     for (const interval::Candidate& candidate : candidates) {
       intervals.push_back(candidate.interval);
+      confidences.push_back(candidate.confidence);
     }
-
-    util::Stopwatch cover_timer;
     cover::CoverOptions cover_options;
     cover_options.s_hat = request.s_hat;
     cover_options.num_threads = request.num_threads;
-    cover = cover::GreedyPartialSetCover(intervals, eval.n(), cover_options);
-    tableau.cover_seconds = cover_timer.ElapsedSeconds();
-    tableau.cover_stats = cover.stats;
+    CoverCandidates(intervals, confidences, eval.n(), cover_options, &tableau);
     phase_seconds.cover.Record(tableau.cover_seconds);
   }
 
   CR_TRACE_SPAN_ARGS("tableau.assemble", "rows",
-                     static_cast<int64_t>(cover.chosen.size()));
-  util::Stopwatch assemble_timer;
-  tableau.covered = cover.covered;
-  tableau.required = cover.required;
-  tableau.support_satisfied = cover.satisfied;
-  tableau.rows.reserve(cover.chosen.size());
+                     static_cast<int64_t>(tableau.rows.size()));
+  static obs::Gauge& last_rows =
+      obs::Registry::Global().Gauge("tableau.last_rows");
+  last_rows.Set(static_cast<double>(tableau.rows.size()));
+  // Assembly = everything around the selection proper: the candidate
+  // split, the row join inside CoverCandidates and this gauge.
+  phase_seconds.assemble.Record(cover_timer.ElapsedSeconds() -
+                                tableau.cover_seconds);
+  return tableau;
+}
+
+void CoverCandidates(const std::vector<interval::Interval>& intervals,
+                     const std::vector<double>& confidences, int64_t n,
+                     const cover::CoverOptions& options, Tableau* tableau) {
+  CR_CHECK(intervals.size() == confidences.size());
+  util::Stopwatch cover_timer;
+  const cover::CoverResult cover =
+      cover::GreedyPartialSetCover(intervals, n, options);
+  tableau->cover_seconds = cover_timer.ElapsedSeconds();
+  tableau->cover_stats = cover.stats;
+  tableau->num_candidates = intervals.size();
+  tableau->covered = cover.covered;
+  tableau->required = cover.required;
+  tableau->support_satisfied = cover.satisfied;
+  tableau->rows.clear();
+  tableau->rows.reserve(cover.chosen.size());
   // Row confidences are the values the generator computed when it admitted
   // each candidate (kernel arithmetic is bit-identical to
   // eval.Confidence) — no per-row O(1)+dispatch rescan here.
   for (size_t r = 0; r < cover.chosen.size(); ++r) {
-    tableau.rows.push_back(TableauRow{
-        cover.chosen[r], candidates[cover.chosen_indices[r]].confidence});
+    tableau->rows.push_back(TableauRow{
+        cover.chosen[r], confidences[cover.chosen_indices[r]]});
   }
-  static obs::Gauge& last_rows =
-      obs::Registry::Global().Gauge("tableau.last_rows");
-  last_rows.Set(static_cast<double>(tableau.rows.size()));
-  phase_seconds.assemble.Record(assemble_timer.ElapsedSeconds());
-  return tableau;
 }
 
 }  // namespace conservation::core

@@ -99,6 +99,19 @@ struct Tableau {
 // two front doors cannot drift on what a well-formed request is.
 util::Status ValidateTableauRequest(const TableauRequest& request);
 
+// Phase 2 over an already generated candidate set on the universe {1..n}:
+// greedy partial set cover of `intervals`, then the chosen rows joined
+// (through CoverResult::chosen_indices) to `confidences`, the values
+// generation carried for the same candidates. Fills rows, covered,
+// required, support_satisfied, num_candidates, cover_stats and
+// cover_seconds of `tableau`. The one cover both DiscoverTableau and the
+// incremental engine (incr/incremental.h) run, so their tableaux agree by
+// construction on any candidate set whose intervals are pairwise distinct,
+// in any input order.
+void CoverCandidates(const std::vector<interval::Interval>& intervals,
+                     const std::vector<double>& confidences, int64_t n,
+                     const cover::CoverOptions& options, Tableau* tableau);
+
 // Validates the request and runs both phases.
 util::Result<Tableau> DiscoverTableau(const ConfidenceEvaluator& eval,
                                       const TableauRequest& request);

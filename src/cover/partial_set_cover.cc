@@ -148,10 +148,9 @@ CoverResult GreedyPartialSetCover(
     return iv.length() - (fenwick.Covered(iv.end) - fenwick.Covered(iv.begin - 1));
   };
 
-  // Seed the initial gains in parallel (read-only Fenwick queries into
-  // disjoint slots), then heapify once. With nothing covered yet every gain
-  // equals the interval length, but routing through marginal_gain keeps the
-  // seeding correct for any future warm-start coverage.
+  // Seed the initial gains in parallel (disjoint slots), then heapify once.
+  // Nothing is covered yet, so every exact marginal gain is the interval
+  // length — no Fenwick query needed.
   util::Stopwatch seed_timer;
   std::vector<HeapEntry> heap(candidates.size());
   const WorseThan worse{&candidates, options.deterministic_tie_break};
@@ -160,10 +159,9 @@ CoverResult GreedyPartialSetCover(
                        static_cast<int64_t>(candidates.size()));
     util::ParallelFor(
         static_cast<int64_t>(candidates.size()), options.num_threads,
-        [&heap, &marginal_gain](int64_t k) {
-          heap[static_cast<size_t>(k)] =
-              HeapEntry{marginal_gain(static_cast<size_t>(k)),
-                        static_cast<size_t>(k)};
+        [&heap, &candidates](int64_t k) {
+          const size_t index = static_cast<size_t>(k);
+          heap[index] = HeapEntry{candidates[index].length(), index};
         });
     std::make_heap(heap.begin(), heap.end(), worse);
   }

@@ -18,12 +18,13 @@
 //   - marking a chosen interval walks a "next-uncovered" skip-pointer array
 //     (union-find with path halving), so the total marking cost across all
 //     picks is O(n alpha(n)) instead of O(total chosen length),
-//   - the initial k gains are seeded in parallel on the shared ThreadPool
+//   - the initial k gains are the interval lengths (nothing is covered
+//     yet), seeded in parallel on the shared ThreadPool
 //     (CoverOptions::num_threads; the heap itself is built sequentially).
 // The chosen set is bit-identical to the naive rescan for both tie-break
 // modes (tests/reference_cover.h keeps the naive code as the differential
 // oracle). Complexity: O(k + n alpha(n) + (rounds + stale) log k) pops plus
-// O((k + newly covered) log n) Fenwick traffic, vs O(rounds * (n + k)).
+// O((pops + newly covered) log n) Fenwick traffic, vs O(rounds * (n + k)).
 
 #ifndef CONSERVATION_COVER_PARTIAL_SET_COVER_H_
 #define CONSERVATION_COVER_PARTIAL_SET_COVER_H_

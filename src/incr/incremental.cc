@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "interval/area_based.h"
 #include "interval/kernel.h"
 #include "interval/non_area_based.h"
 #include "interval/walk.h"
@@ -17,10 +18,11 @@ namespace conservation::incr {
 namespace {
 
 using interval::internal::ConfidenceKernel;
+using interval::internal::LargestEndpointWithin;
 
 // Registry mirror of IncrStats (which stays the API-stable per-discoverer
 // view); these counters accumulate across discoverers. Batch-published at
-// the end of every ProcessBatch.
+// the end of every ProcessBatch, cover pops at every refresh.
 struct IncrMetrics {
   obs::Counter& batches;
   obs::Counter& candidates_extended;
@@ -47,25 +49,6 @@ struct IncrMetrics {
   }
 };
 
-// Largest j in [lo, hi] with area(i, j) <= threshold, or lo - 1 if even
-// area(i, lo) exceeds it — the AB-opt generator's search verbatim
-// (area_based_opt.cc), minus its probe counter. The kernel must be
-// anchored at i.
-int64_t LargestEndpointWithin(const ConfidenceKernel& kernel, int64_t lo,
-                              int64_t hi, double threshold) {
-  int64_t result = lo - 1;
-  while (lo <= hi) {
-    const int64_t mid = lo + (hi - lo) / 2;
-    if (kernel.SparseArea(mid) <= threshold) {
-      result = mid;
-      lo = mid + 1;
-    } else {
-      hi = mid - 1;
-    }
-  }
-  return result;
-}
-
 // One relaxed-threshold confidence test folded into a (best_j, best_conf)
 // accumulator — the generators' exact guard (valid + qualifying + longer
 // than the incumbent). kernel.Confidence is bit-identical to the batch
@@ -82,64 +65,22 @@ void FoldRelaxedTest(const ConfidenceKernel& kernel,
   }
 }
 
-// Credit-fail zero-prefix probes strictly below `zae`, replicating the
-// generators' length-geometric list for the current n (duplicates from
-// floor((1+eps)^h) included — they cannot displace themselves under the
-// j > best_j guard, exactly as in the fresh sweep). The probed set is
-// n-independent once zae is settled: every consumed entry is an uncapped
-// floor power < zae <= n, and the list's final capped entry `n` maps to
-// j = i + n - 1 >= zae, past the break.
+// Credit-fail zero-prefix probes strictly below `zae`, over the
+// generators' own length list for the current n (ZeroPrefixLengths;
+// duplicates from floor((1+eps)^h) included — they cannot displace
+// themselves under the j > best_j guard, exactly as in the fresh sweep).
+// The probed set is n-independent once zae is settled: every consumed
+// entry is an uncapped floor power < zae <= n, and the list's final capped
+// entry `n` maps to j = i + n - 1 >= zae, past the break.
 void FoldZeroPrefix(const ConfidenceKernel& kernel,
-                    const interval::GeneratorOptions& options, double growth,
-                    int64_t i, int64_t zae, int64_t n, int64_t* best_j,
-                    double* best_conf) {
-  double power = 1.0;
-  while (static_cast<int64_t>(power) < n) {
-    const int64_t j = i + static_cast<int64_t>(power) - 1;
+                    const interval::GeneratorOptions& options,
+                    const std::vector<int64_t>& lengths, int64_t i,
+                    int64_t zae, int64_t* best_j, double* best_conf) {
+  for (const int64_t len : lengths) {
+    const int64_t j = i + len - 1;
     if (j >= zae) return;
     FoldRelaxedTest(kernel, options, j, best_j, best_conf);
-    power *= growth;
   }
-}
-
-// Fenwick tree over the covered-tick indicator — the cover phase's
-// (partial_set_cover.cc), so warm-start marginal gains are computed with
-// the identical arithmetic.
-class CoveredFenwick {
- public:
-  explicit CoveredFenwick(int64_t n)
-      : n_(n), tree_(static_cast<size_t>(n) + 1, 0) {}
-
-  void Mark(int64_t t) {
-    for (; t <= n_; t += t & -t) ++tree_[static_cast<size_t>(t)];
-  }
-
-  int64_t Covered(int64_t t) const {
-    int64_t sum = 0;
-    for (; t > 0; t -= t & -t) sum += tree_[static_cast<size_t>(t)];
-    return sum;
-  }
-
- private:
-  int64_t n_;
-  std::vector<int64_t> tree_;
-};
-
-// "Worse-than" order for the warm heap. Matches GreedyPartialSetCover's
-// deterministic WorseThan on every pair the selection can actually compare:
-// gain descending, then ByPosition ascending. Live entries' intervals are
-// pairwise position-distinct (one candidate per anchor, distinct anchors),
-// so the fresh comparator's input-index component is unreachable for them;
-// the seq tie-break only orders stale duplicates, which selection skips
-// without side effects. Templated because HeapEntry is a private nested
-// type of the discoverer.
-template <typename Entry>
-bool EntryWorse(const Entry& a, const Entry& b) {
-  if (a.gain != b.gain) return a.gain < b.gain;
-  if (a.iv.begin != b.iv.begin || a.iv.end != b.iv.end) {
-    return interval::ByPosition(b.iv, a.iv);
-  }
-  return a.seq > b.seq;
 }
 
 }  // namespace
@@ -273,27 +214,15 @@ void IncrementalDiscoverer::ProcessBatch(
   }
 
   ++stats_.batches;
-  if (append_only_) {
-    // Deferred-cover mode: the candidate store and pending heap entries now
-    // carry this batch's full delta, so MaintainHeap + RunWarmCover at any
-    // later RefreshCover() produce the same tableau a per-batch refresh
-    // would have — deferral reorders no heap pushes (pending_entries_ keeps
-    // arrival order) and selection state never persists across batches.
-    cover_stale_ = true;
-  } else {
-    MaintainHeap();
-    RunWarmCover();
-    // If append-only mode was toggled off while stale, this eager pass
-    // just absorbed the backlog too.
-    cover_stale_ = false;
-  }
+  // Deferred-cover mode leaves the cover to RefreshCover(): the candidate
+  // store alone determines the tableau, so deferral carries no backlog.
+  cover_stale_ = true;
+  if (!append_only_) RefreshCover();
 
   IncrMetrics& metrics = IncrMetrics::Get();
   metrics.batches.Increment();
   metrics.candidates_extended.Add(static_cast<uint64_t>(
       stats_.candidates_extended - before.candidates_extended));
-  metrics.cover_warm_pops.Add(
-      static_cast<uint64_t>(stats_.cover_warm_pops - before.cover_warm_pops));
   metrics.full_rebuilds.Add(
       static_cast<uint64_t>(stats_.full_rebuilds - before.full_rebuilds));
   metrics.dirty_anchors.Add(
@@ -301,11 +230,27 @@ void IncrementalDiscoverer::ProcessBatch(
 }
 
 const core::Tableau& IncrementalDiscoverer::RefreshCover() {
-  if (cover_stale_) {
-    MaintainHeap();
-    RunWarmCover();
-    cover_stale_ = false;
+  if (!cover_stale_) return tableau_;
+  // The fresh cover over the live store, gathered in anchor order. Stored
+  // candidates are pairwise position-distinct (one per anchor), so the
+  // deterministic tie-break never reaches input order and the selection is
+  // DiscoverTableau's pick for pick. Sequential seeding: a refresh runs on
+  // the caller's thread, which may itself be a pool worker.
+  live_intervals_.clear();
+  live_confidences_.clear();
+  for (const interval::Candidate& candidate : cand_) {
+    if (candidate.interval.begin == 0) continue;
+    live_intervals_.push_back(candidate.interval);
+    live_confidences_.push_back(candidate.confidence);
   }
+  cover::CoverOptions options;
+  options.s_hat = request_.s_hat;
+  core::CoverCandidates(live_intervals_, live_confidences_, series_->n(),
+                        options, &tableau_);
+  stats_.cover_warm_pops += tableau_.cover_stats.heap_pops;
+  IncrMetrics::Get().cover_warm_pops.Add(
+      static_cast<uint64_t>(tableau_.cover_stats.heap_pops));
+  cover_stale_ = false;
   return tableau_;
 }
 
@@ -330,11 +275,7 @@ void IncrementalDiscoverer::GrowStateArrays(int64_t n) {
     default:
       break;  // NAB keeps no per-anchor resume state
   }
-  cand_valid_.resize(size, 0);
-  cand_begin_.resize(size, 0);
-  cand_end_.resize(size, 0);
-  cand_conf_.resize(size, 0.0);
-  cand_version_.resize(size, 0);
+  cand_.resize(size);
 }
 
 // ---------------------------------------------------------------------------
@@ -356,27 +297,17 @@ void IncrementalDiscoverer::ProcessAreaBased(
   const double growth = 1.0 + gen_options_.epsilon;
   const double dlt = prev_delta_;
 
-  // Threshold ladder, rebuilt per batch exactly as the fresh generator
-  // builds it (area_based.cc). Prefix-stable and size-nondecreasing across
-  // appends: Delta is fixed (a decrease forced a full rebuild upstream)
-  // and max_area only grows, so settled levels keep their thresholds.
-  const double max_area = gen_options_.type == core::TableauType::kHold
-                              ? series_->SumB(1, n)
-                              : series_->SumA(1, n);
-  int64_t num_levels = 0;
-  if (max_area > dlt) {
-    num_levels = static_cast<int64_t>(
-                     std::ceil(std::log(max_area / dlt) / std::log(growth))) +
-                 1;
-  }
-  std::vector<double> thresholds;
-  if (fail_type_) thresholds.push_back(0.0);
-  double t_value = dlt;
-  for (int64_t l = 0; l <= num_levels; ++l) {
-    thresholds.push_back(t_value);
-    t_value *= growth;
-  }
+  // Threshold ladder, rebuilt per batch by the fresh generator's code.
+  // Prefix-stable and size-nondecreasing across appends: Delta is fixed (a
+  // decrease forced a full rebuild upstream) and max_area only grows, so
+  // settled levels keep their thresholds.
+  const std::vector<double> thresholds =
+      interval::internal::AbThresholds(*series_, gen_options_.type, dlt,
+                                       growth);
   const size_t num_thresholds = thresholds.size();
+  const std::vector<int64_t> zero_prefix_lengths =
+      fail_type_ ? interval::internal::ZeroPrefixLengths(n, growth)
+                 : std::vector<int64_t>();
 
   ConfidenceKernel kernel(*eval_, gen_options_.type);
   for (int64_t i = 1; i <= n; ++i) {
@@ -386,7 +317,7 @@ void IncrementalDiscoverer::ProcessAreaBased(
 
     if (st.stage == AbState::kExhausted && st.level >= num_thresholds) {
       // Ladder fully consumed and no new levels appeared: the candidate is
-      // exactly the settled fold. No version bump happens below.
+      // exactly the settled fold.
       UpdateCandidate(i, st.best_j >= i, i, st.best_j, st.best_conf);
       continue;
     }
@@ -434,20 +365,9 @@ void IncrementalDiscoverer::ProcessAreaBased(
           t = n;
           exists = true;
         } else {
-          // Fresh first-touch search verbatim (walk.h): default t = i, so
-          // t == i with exists == false when even [i, i] exceeds T.
-          int64_t lo = i;
-          int64_t hi = n;
-          t = i;
-          while (lo <= hi) {
-            const int64_t mid = lo + (hi - lo) / 2;
-            if (kernel.SparseArea(mid) <= threshold) {
-              t = mid;
-              lo = mid + 1;
-            } else {
-              hi = mid - 1;
-            }
-          }
+          // The fresh first-touch search (walk.h): t == i with
+          // exists == false when even [i, i] exceeds T.
+          t = std::max(LargestEndpointWithin(kernel, i, n, threshold), i);
           exists = kernel.SparseArea(t) <= threshold;
         }
         if (exists && t == n) {
@@ -465,8 +385,8 @@ void IncrementalDiscoverer::ProcessAreaBased(
             st.zae = t;
             st.zae_settled = true;
             if (credit_fail_ && st.zae > i) {
-              FoldZeroPrefix(kernel, gen_options_, growth, i, st.zae, n,
-                             &st.best_j, &st.best_conf);
+              FoldZeroPrefix(kernel, gen_options_, zero_prefix_lengths, i,
+                             st.zae, &st.best_j, &st.best_conf);
             }
           }
           FoldRelaxedTest(kernel, gen_options_, t, &st.best_j, &st.best_conf);
@@ -491,7 +411,8 @@ void IncrementalDiscoverer::ProcessAreaBased(
     int64_t cj = st.best_j;
     double cc = st.best_conf;
     if (tent_zp && n > i) {
-      FoldZeroPrefix(kernel, gen_options_, growth, i, /*zae=*/n, n, &cj, &cc);
+      FoldZeroPrefix(kernel, gen_options_, zero_prefix_lengths, i, /*zae=*/n,
+                     &cj, &cc);
     }
     if (tent_at_n) {
       FoldRelaxedTest(kernel, gen_options_, n, &cj, &cc);
@@ -518,6 +439,9 @@ void IncrementalDiscoverer::ProcessAreaBasedOpt(
   const int64_t old_n = delta.old_n;
   const double growth = 1.0 + gen_options_.epsilon;
   const double dlt = prev_delta_;
+  const std::vector<int64_t> zero_prefix_lengths =
+      credit_fail_ ? interval::internal::ZeroPrefixLengths(n, growth)
+                   : std::vector<int64_t>();
 
   ConfidenceKernel kernel(*eval_, gen_options_.type);
   for (int64_t i = 1; i <= n; ++i) {
@@ -555,8 +479,8 @@ void IncrementalDiscoverer::ProcessAreaBasedOpt(
         st.zae = zae;
         st.zae_settled = true;
         if (zae >= i) {
-          FoldZeroPrefix(kernel, gen_options_, growth, i, zae, n, &st.best_j,
-                         &st.best_conf);
+          FoldZeroPrefix(kernel, gen_options_, zero_prefix_lengths, i, zae,
+                         &st.best_j, &st.best_conf);
           FoldRelaxedTest(kernel, gen_options_, zae, &st.best_j,
                           &st.best_conf);
         }
@@ -618,7 +542,8 @@ void IncrementalDiscoverer::ProcessAreaBasedOpt(
     int64_t cj = st.best_j;
     double cc = st.best_conf;
     if (tent_zp && n > i) {
-      FoldZeroPrefix(kernel, gen_options_, growth, i, /*zae=*/n, n, &cj, &cc);
+      FoldZeroPrefix(kernel, gen_options_, zero_prefix_lengths, i, /*zae=*/n,
+                     &cj, &cc);
     }
     if (parked) {
       FoldRelaxedTest(kernel, gen_options_, n, &cj, &cc);
@@ -712,140 +637,15 @@ void IncrementalDiscoverer::ProcessNonAreaBased(
 void IncrementalDiscoverer::UpdateCandidate(int64_t anchor, bool valid,
                                             int64_t begin, int64_t end,
                                             double conf) {
-  const size_t a = static_cast<size_t>(anchor);
-  const bool was_valid = cand_valid_[a] != 0;
-  if (valid == was_valid &&
-      (!valid || (cand_begin_[a] == begin && cand_end_[a] == end))) {
-    // Same interval — but a dirty re-walk can recompute the same (i, j)
-    // under moved credit/debit baselines, so the confidence still tracks.
-    if (valid) cand_conf_[a] = conf;
-    return;
-  }
-  if (was_valid) ++stale_entries_;  // the anchor's live heap entry goes stale
-  live_candidates_ += (valid ? 1 : 0) - (was_valid ? 1 : 0);
-  cand_valid_[a] = valid ? 1 : 0;
-  cand_begin_[a] = begin;
-  cand_end_[a] = end;
-  cand_conf_[a] = conf;
-  ++cand_version_[a];
-  ++stats_.candidates_extended;
-  if (valid) {
-    const interval::Interval iv{begin, end};
-    pending_entries_.push_back(
-        HeapEntry{iv.length(), iv, anchor, cand_version_[a], next_seq_++});
-  }
-}
-
-void IncrementalDiscoverer::MaintainHeap() {
-  // Persistent gains are interval lengths — exactly the seed gains of a
-  // fresh cover against an empty Fenwick, and a valid upper bound for the
-  // per-batch selection's stale-refresh invariant. Compact when stale
-  // entries dominate; otherwise an O(log k) push per changed candidate.
-  if (stale_entries_ * 2 > static_cast<int64_t>(heap_.size())) {
-    std::vector<HeapEntry> live;
-    live.reserve(heap_.size() + pending_entries_.size());
-    for (const HeapEntry& e : heap_) {
-      const size_t a = static_cast<size_t>(e.anchor);
-      if (cand_valid_[a] != 0 && cand_version_[a] == e.version) {
-        live.push_back(e);
-      }
-    }
-    live.insert(live.end(), pending_entries_.begin(), pending_entries_.end());
-    heap_ = std::move(live);
-    std::make_heap(heap_.begin(), heap_.end(), EntryWorse<HeapEntry>);
-    stale_entries_ = 0;
-  } else {
-    for (const HeapEntry& e : pending_entries_) {
-      heap_.push_back(e);
-      std::push_heap(heap_.begin(), heap_.end(), EntryWorse<HeapEntry>);
-    }
-  }
-  pending_entries_.clear();
-}
-
-void IncrementalDiscoverer::RunWarmCover() {
-  const int64_t n = series_->n();
-  tableau_.rows.clear();
-  tableau_.num_candidates = static_cast<uint64_t>(live_candidates_);
-  tableau_.required = static_cast<int64_t>(
-      std::ceil(request_.s_hat * static_cast<double>(n)));
-  tableau_.covered = 0;
-  if (tableau_.required <= 0 || live_candidates_ == 0) {
-    // Fresh cover's early return (no selection, possibly satisfied by an
-    // empty tableau when nothing is required).
-    tableau_.support_satisfied = tableau_.covered >= tableau_.required;
-    return;
-  }
-
-  CoveredFenwick fenwick(n);
-  std::vector<int64_t> next_uncovered(static_cast<size_t>(n) + 2);
-  for (size_t t = 0; t < next_uncovered.size(); ++t) {
-    next_uncovered[t] = static_cast<int64_t>(t);
-  }
-  auto find_uncovered = [&next_uncovered](int64_t t) {
-    while (next_uncovered[static_cast<size_t>(t)] != t) {
-      next_uncovered[static_cast<size_t>(t)] =
-          next_uncovered[static_cast<size_t>(
-              next_uncovered[static_cast<size_t>(t)])];
-      t = next_uncovered[static_cast<size_t>(t)];
-    }
-    return t;
-  };
-
-  // Selection runs on a COPY of the persistent heap: refreshed (coverage-
-  // decayed) gains are valid only against this batch's Fenwick and must
-  // not survive into the next batch, where coverage starts empty again.
-  // Popping live entries in (gain desc, ByPosition asc) order with the
-  // fresh loop's retire/refresh/pick logic reproduces
-  // GreedyPartialSetCover's pick sequence; stale-version pops are skipped
-  // before any side effect.
-  std::vector<HeapEntry> heap = heap_;
-  std::vector<int64_t> picked;
-  while (tableau_.covered < tableau_.required && !heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), EntryWorse<HeapEntry>);
-    HeapEntry top = heap.back();
-    heap.pop_back();
-    ++stats_.cover_warm_pops;
-    const size_t a = static_cast<size_t>(top.anchor);
-    if (cand_valid_[a] == 0 || cand_version_[a] != top.version) continue;
-
-    const int64_t gain =
-        top.iv.length() -
-        (fenwick.Covered(top.iv.end) - fenwick.Covered(top.iv.begin - 1));
-    CR_CHECK(gain <= top.gain);  // gains are monotone non-increasing
-    if (gain <= 0) continue;     // fully covered by earlier picks; retire
-    if (gain < top.gain) {
-      top.gain = gain;
-      heap.push_back(top);
-      std::push_heap(heap.begin(), heap.end(), EntryWorse<HeapEntry>);
-      continue;
-    }
-
-    picked.push_back(top.anchor);
-    for (int64_t t = find_uncovered(top.iv.begin); t <= top.iv.end;
-         t = find_uncovered(t + 1)) {
-      fenwick.Mark(t);
-      next_uncovered[static_cast<size_t>(t)] = t + 1;
-      ++tableau_.covered;
-    }
-  }
-  tableau_.support_satisfied = tableau_.covered >= tableau_.required;
-
-  // Chosen intervals are pairwise distinct; ByPosition totally orders them
-  // exactly as the fresh cover's result assembly does.
-  std::sort(picked.begin(), picked.end(), [this](int64_t a, int64_t b) {
-    const interval::Interval ia{cand_begin_[static_cast<size_t>(a)],
-                                cand_end_[static_cast<size_t>(a)]};
-    const interval::Interval ib{cand_begin_[static_cast<size_t>(b)],
-                                cand_end_[static_cast<size_t>(b)]};
-    return interval::ByPosition(ia, ib);
-  });
-  tableau_.rows.reserve(picked.size());
-  for (const int64_t anchor : picked) {
-    const size_t a = static_cast<size_t>(anchor);
-    tableau_.rows.push_back(core::TableauRow{
-        interval::Interval{cand_begin_[a], cand_end_[a]}, cand_conf_[a]});
-  }
+  // A dirty re-walk can recompute the same interval under moved credit/
+  // debit baselines, so the confidence is stored even when the interval
+  // is unchanged (and then does not count as an extension).
+  const interval::Candidate next =
+      valid ? interval::Candidate{interval::Interval{begin, end}, conf}
+            : interval::Candidate{};
+  interval::Candidate& stored = cand_[static_cast<size_t>(anchor)];
+  if (stored.interval != next.interval) ++stats_.candidates_extended;
+  stored = next;
 }
 
 }  // namespace conservation::incr

@@ -21,13 +21,11 @@
 //   * NAB/NAB-opt candidates for old right anchors are exactly unchanged
 //     (their length schedule prefix and left-anchor probes are independent
 //     of n), so only the m new anchors walk at all.
-//   * The lazy-greedy cover warm-starts from a persistent heap of
-//     length-gain entries (gain == interval length is exactly the seed gain
-//     of a fresh run); per batch only changed candidates push new versioned
-//     entries, selection runs on a copy with stale-version pops skipped,
-//     and within-batch stale re-evaluations absorb the gain deltas. The
-//     comparator is a strict total order on the position-distinct live
-//     entries, so the pick sequence reproduces GreedyPartialSetCover's.
+//   * The cover is DiscoverTableau's own (core::CoverCandidates) run over
+//     the live store gathered in anchor order: O(n + k log k) per refresh,
+//     however many batches were deferred. Stored candidates are pairwise
+//     position-distinct, so the deterministic tie-break never reaches input
+//     order and the selection matches a fresh run by construction.
 //
 // Exactness contract: after every AppendBatch the maintained tableau is
 // bit-identical to DiscoverTableau over the full series in the fields
@@ -80,11 +78,11 @@ namespace conservation::incr {
 struct IncrStats {
   // AppendBatch calls processed (the initial Create batch included).
   int64_t batches = 0;
-  // Anchors whose stored candidate (validity or interval) changed this
-  // lifetime — each pushed one new versioned entry into the warm heap.
+  // Anchor updates that changed the stored candidate's validity or
+  // interval (a confidence-only change does not count).
   int64_t candidates_extended = 0;
-  // Heap pops performed by the warm-started cover selections (the
-  // incremental analogue of cover.heap_pops; includes stale-version skips).
+  // Heap pops of the cover refreshes (the sum of their
+  // CoverStats::heap_pops).
   int64_t cover_warm_pops = 0;
   // Whole-state resets (Delta decreased under kMinPositiveCount).
   int64_t full_rebuilds = 0;
@@ -111,14 +109,13 @@ class IncrementalDiscoverer {
                                    const std::vector<double>& b);
 
   // Append-only mode (off by default): AppendBatch maintains the per-anchor
-  // candidate state but defers heap maintenance and the warm-cover selection
-  // — the expensive per-batch tail for small batches — until RefreshCover().
-  // Between refreshes tableau() is the last refreshed snapshot (stale by
+  // candidate state but defers the cover until RefreshCover(). Between
+  // refreshes tableau() is the last refreshed snapshot (stale by
   // construction); at every refresh point the tableau is bit-identical to
   // what non-deferred maintenance (and hence from-scratch discovery) would
-  // produce, because the candidate store and pending heap entries carry the
-  // complete delta. Built for the serving daemon, which pays cover on a
-  // periodic scheduler tick instead of on every small batch.
+  // produce, because the candidate store alone determines the cover — no
+  // deferred work accumulates. Built for the serving daemon, which pays
+  // cover on a periodic scheduler tick instead of on every small batch.
   void SetAppendOnly(bool append_only) { append_only_ = append_only; }
   bool append_only() const { return append_only_; }
   // True when batches were applied since the last cover refresh.
@@ -181,18 +178,6 @@ class IncrementalDiscoverer {
     double best_conf = 0.0;
   };
 
-  // Warm-cover heap entry. `gain` is the interval length — exactly the
-  // gain a fresh cover seeds against an empty Fenwick, and a persistent
-  // upper bound thereafter. Within-batch refreshed gains live only in the
-  // per-selection copy, never here.
-  struct HeapEntry {
-    int64_t gain = 0;
-    interval::Interval iv;
-    int64_t anchor = 0;
-    uint32_t version = 0;
-    uint64_t seq = 0;
-  };
-
   IncrementalDiscoverer(const series::CountSequence& initial,
                         const core::TableauRequest& request);
 
@@ -215,14 +200,9 @@ class IncrementalDiscoverer {
   void ProcessNonAreaBased(
       const series::CumulativeSeries::AppendResult& delta);
 
-  // Stores anchor's candidate for this batch ((0,0) j/i == no candidate)
-  // and, when validity or interval changed, bumps the anchor version and
-  // queues a heap push.
+  // Stores anchor's candidate for this batch (valid == false: none).
   void UpdateCandidate(int64_t anchor, bool valid, int64_t begin, int64_t end,
                        double conf);
-
-  void MaintainHeap();
-  void RunWarmCover();
 
   core::TableauRequest request_;
   interval::GeneratorOptions gen_options_;  // request mirror, sequential
@@ -245,19 +225,16 @@ class IncrementalDiscoverer {
   std::vector<AbOptState> abopt_;
   std::vector<ExhState> exh_;
 
-  // 1-based per-anchor candidate store. For left-anchored algorithms the
-  // anchor is the interval begin; for NAB it is the end.
-  std::vector<uint8_t> cand_valid_;
-  std::vector<int64_t> cand_begin_;
-  std::vector<int64_t> cand_end_;
-  std::vector<double> cand_conf_;
-  std::vector<uint32_t> cand_version_;
-  int64_t live_candidates_ = 0;
-
-  std::vector<HeapEntry> heap_;  // persistent, heap-ordered
-  std::vector<HeapEntry> pending_entries_;
-  int64_t stale_entries_ = 0;
-  uint64_t next_seq_ = 0;
+  // 1-based per-anchor candidate store; interval.begin == 0 marks an
+  // anchor without a candidate (slot 0 is unused and stays empty). For
+  // left-anchored algorithms the anchor is the interval begin; for NAB it
+  // is the end.
+  std::vector<interval::Candidate> cand_;
+  // RefreshCover's gather of the live candidates, split as the cover takes
+  // them. Kept across refreshes so that a refresh allocates only the
+  // cover's own working memory.
+  std::vector<interval::Interval> live_intervals_;
+  std::vector<double> live_confidences_;
 
   core::Tableau tableau_;
   IncrStats stats_;

@@ -24,6 +24,41 @@ double SparsificationArea(const core::ConfidenceEvaluator& eval,
   return eval.AreaA(i, j);
 }
 
+std::vector<double> AbThresholds(const series::CumulativeSeries& series,
+                                 core::TableauType type, double delta,
+                                 double growth) {
+  const int64_t n = series.n();
+  const double max_area = type == core::TableauType::kHold
+                              ? series.SumB(1, n)
+                              : series.SumA(1, n);
+  int64_t num_levels = 0;
+  if (max_area > delta) {
+    num_levels =
+        static_cast<int64_t>(std::ceil(std::log(max_area / delta) /
+                                       std::log(growth))) +
+        1;
+  }
+  std::vector<double> thresholds;
+  if (type == core::TableauType::kFail) thresholds.push_back(0.0);
+  double t_value = delta;
+  for (int64_t l = 0; l <= num_levels; ++l) {
+    thresholds.push_back(t_value);
+    t_value *= growth;
+  }
+  return thresholds;
+}
+
+std::vector<int64_t> ZeroPrefixLengths(int64_t n, double growth) {
+  std::vector<int64_t> lengths;
+  double power = 1.0;
+  while (static_cast<int64_t>(power) < n) {
+    lengths.push_back(static_cast<int64_t>(power));
+    power *= growth;
+  }
+  lengths.push_back(n);
+  return lengths;
+}
+
 }  // namespace internal
 
 std::vector<Candidate> AreaBasedGenerator::GenerateCandidates(
@@ -35,28 +70,8 @@ std::vector<Candidate> AreaBasedGenerator::GenerateCandidates(
   const double delta = ResolveDelta(eval.series(), options);
   const double growth = 1.0 + options.epsilon;
 
-  // Upper bound on the number of levels: area(i, n) <= Sum(1, n) because all
-  // baselines are >= 0 (A is non-negative and, for debit, S_i >= 0).
-  const double max_area = type == core::TableauType::kHold
-                              ? eval.series().SumB(1, n)
-                              : eval.series().SumA(1, n);
-  int64_t num_levels = 0;
-  if (max_area > delta) {
-    num_levels =
-        static_cast<int64_t>(std::ceil(std::log(max_area / delta) /
-                                       std::log(growth))) +
-        1;
-  }
-
-  // Level thresholds T_l = Delta * (1+eps)^l. For fail tableaux a "zero
-  // level" T = 0 is prepended to catch confidence-0 intervals.
-  std::vector<double> thresholds;
-  if (type == core::TableauType::kFail) thresholds.push_back(0.0);
-  double t_value = delta;
-  for (int64_t l = 0; l <= num_levels; ++l) {
-    thresholds.push_back(t_value);
-    t_value *= growth;
-  }
+  const std::vector<double> thresholds =
+      internal::AbThresholds(eval.series(), type, delta, growth);
 
   // Credit-model fail tableaux need extra care beyond the paper's zero
   // level: within the prefix where the balance numerator area is 0, the
@@ -67,15 +82,9 @@ std::vector<Candidate> AreaBasedGenerator::GenerateCandidates(
   // conf_c(i,j') <= (1+eps) conf_c(i,j*).
   const bool credit_fail = type == core::TableauType::kFail &&
                            eval.model() == core::ConfidenceModel::kCredit;
-  std::vector<int64_t> zero_prefix_lengths;
-  if (credit_fail) {
-    double power = 1.0;
-    while (static_cast<int64_t>(power) < n) {
-      zero_prefix_lengths.push_back(static_cast<int64_t>(power));
-      power *= growth;
-    }
-    zero_prefix_lengths.push_back(n);
-  }
+  const std::vector<int64_t> zero_prefix_lengths =
+      credit_fail ? internal::ZeroPrefixLengths(n, growth)
+                  : std::vector<int64_t>();
 
   // Sketch anchor screen (relaxed threshold), shared read-only by every
   // chunk. Skipping a pruned anchor is safe here because the level pointers

@@ -21,9 +21,11 @@
 #ifndef CONSERVATION_INTERVAL_AREA_BASED_H_
 #define CONSERVATION_INTERVAL_AREA_BASED_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "interval/generator.h"
+#include "series/cumulative.h"
 
 namespace conservation::interval {
 
@@ -42,6 +44,21 @@ namespace internal {
 // area_A for fail (balance-model area_A when the evaluator is credit).
 double SparsificationArea(const core::ConfidenceEvaluator& eval,
                           core::TableauType type, int64_t i, int64_t j);
+
+// AB's level thresholds T_l = Delta * (1+eps)^l, l = 0..L, where
+// L = ceil(log_{1+eps}(max_area / Delta)) + 1 (0 when max_area <= Delta)
+// and max_area = Sum(1, n) of B (hold) or A (fail) bounds every area(i, j)
+// (all baselines are >= 0). Fail tableaux get a zero level T = 0 prepended
+// to catch confidence-0 intervals. Shared by the fresh generator and the
+// incremental engine, so their ladders agree entry for entry.
+std::vector<double> AbThresholds(const series::CumulativeSeries& series,
+                                 core::TableauType type, double delta,
+                                 double growth);
+
+// Credit-model fail tableaux's zero-prefix probe lengths: floor(growth^h)
+// for every power below n (duplicates kept), then n itself. Shared by AB
+// and AB-opt.
+std::vector<int64_t> ZeroPrefixLengths(int64_t n, double growth);
 
 }  // namespace internal
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <utility>
 
+#include "interval/area_based.h"
 #include "interval/kernel.h"
 #include "interval/prune.h"
 #include "interval/shard.h"
@@ -12,26 +13,6 @@
 namespace conservation::interval {
 
 namespace {
-
-// Largest j in [lo, hi] with area(i, j) <= threshold, or lo - 1 if even
-// area(i, lo) exceeds it. Binary search over the nondecreasing area; the
-// kernel must be anchored at i (BeginAnchor).
-int64_t LargestEndpointWithin(const internal::ConfidenceKernel& kernel,
-                              int64_t lo, int64_t hi, double threshold,
-                              uint64_t* probes) {
-  int64_t result = lo - 1;
-  while (lo <= hi) {
-    const int64_t mid = lo + (hi - lo) / 2;
-    ++*probes;
-    if (kernel.SparseArea(mid) <= threshold) {
-      result = mid;
-      lo = mid + 1;
-    } else {
-      hi = mid - 1;
-    }
-  }
-  return result;
-}
 
 struct EvalBuffers {
   std::vector<double> conf;
@@ -108,15 +89,9 @@ std::vector<Candidate> AreaBasedOptGenerator::GenerateCandidates(
   // credit confidence is nonzero and non-monotone.
   const bool credit_fail = type == core::TableauType::kFail &&
                            eval.model() == core::ConfidenceModel::kCredit;
-  std::vector<int64_t> zero_prefix_lengths;
-  if (credit_fail) {
-    double power = 1.0;
-    while (static_cast<int64_t>(power) < n) {
-      zero_prefix_lengths.push_back(static_cast<int64_t>(power));
-      power *= growth;
-    }
-    zero_prefix_lengths.push_back(n);
-  }
+  const std::vector<int64_t> zero_prefix_lengths =
+      credit_fail ? internal::ZeroPrefixLengths(n, growth)
+                  : std::vector<int64_t>();
 
   // Width of the cross-anchor walk scheduler. stop_on_full_cover needs the
   // scalar loop's mid-chunk early break (walks retire out of anchor order),
@@ -270,7 +245,7 @@ std::vector<Candidate> AreaBasedOptGenerator::GenerateCandidates(
 
         if (credit_fail) {
           const int64_t zero_area_end =
-              LargestEndpointWithin(kernel, i, n, 0.0, &probes);
+              internal::LargestEndpointWithin(kernel, i, n, 0.0, &probes);
           for (const int64_t len : zero_prefix_lengths) {
             const int64_t j = i + len - 1;
             if (j >= zero_area_end) break;  // zero_area_end is a breakpoint
@@ -283,7 +258,8 @@ std::vector<Candidate> AreaBasedOptGenerator::GenerateCandidates(
         // base unit Delta; if even [i, i] exceeds it, start at i (forced).
         // For fail tableaux this also covers the zero-area (confidence 0)
         // special case, since the zero-area prefix lies below Delta.
-        int64_t cur = LargestEndpointWithin(kernel, i, n, delta, &probes);
+        int64_t cur =
+            internal::LargestEndpointWithin(kernel, i, n, delta, &probes);
         if (cur < i) cur = i;
         if (breakpoints.empty() || breakpoints.back() < cur) {
           breakpoints.push_back(cur);
@@ -292,8 +268,8 @@ std::vector<Candidate> AreaBasedOptGenerator::GenerateCandidates(
         while (cur < n) {
           const double cur_area = kernel.SparseArea(cur);
           const double target = std::max(cur_area, delta) * growth;
-          int64_t next =
-              LargestEndpointWithin(kernel, cur + 1, n, target, &probes);
+          int64_t next = internal::LargestEndpointWithin(kernel, cur + 1, n,
+                                                         target, &probes);
           if (next < cur + 1) next = cur + 1;  // forced advance
           breakpoints.push_back(next);
           cur = next;

@@ -274,6 +274,27 @@ class ConfidenceKernel {
   double sb_end_ = 0.0;
 };
 
+// Largest j in [lo, hi] with SparseArea(j) <= threshold, or lo - 1 if even
+// SparseArea(lo) exceeds it: the area-based walks' breakpoint search, a
+// binary search over the area nondecreasing in j. The kernel must be
+// anchored (BeginAnchor). Each probe increments *probes when given.
+inline int64_t LargestEndpointWithin(const ConfidenceKernel& kernel,
+                                     int64_t lo, int64_t hi, double threshold,
+                                     uint64_t* probes = nullptr) {
+  int64_t result = lo - 1;
+  while (lo <= hi) {
+    const int64_t mid = lo + (hi - lo) / 2;
+    if (probes != nullptr) ++*probes;
+    if (kernel.SparseArea(mid) <= threshold) {
+      result = mid;
+      lo = mid + 1;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  return result;
+}
+
 }  // namespace conservation::interval::internal
 
 #endif  // CONSERVATION_INTERVAL_KERNEL_H_

@@ -14,10 +14,10 @@
 // log n per lane).
 //
 // Bit-identity contract: a walk advanced this way visits exactly the probe
-// sequence of the scalar per-anchor code (area_based_opt.cc's
-// LargestEndpointWithin loop), counts exactly the probes that code counts,
-// and produces the same breakpoint list bit for bit — regardless of how
-// many other walks interleave between its probes. Checkpointing a state
+// sequence of the scalar per-anchor code (area_based_opt.cc's calls to
+// kernel.h's LargestEndpointWithin), counts exactly the probes that code
+// counts, and produces the same breakpoint list bit for bit — regardless of
+// how many other walks interleave between its probes. Checkpointing a state
 // mid-walk (it is a plain copyable value) and resuming later is therefore
 // exact, which tests/walk_resume_test.cc exercises at adversarial
 // boundaries.
@@ -436,19 +436,9 @@ class AbWalkState {
       // First touch in this chunk: binary-search the largest endpoint in
       // [i, n] whose area is within the threshold (t = i when even [i, i]
       // exceeds it, matching the walk's no-advance case).
-      int64_t lo = anchor_;
-      int64_t hi = ctx.n;
-      t = anchor_;
-      while (lo <= hi) {
-        const int64_t mid = lo + (hi - lo) / 2;
-        ++counters->steps;
-        if (kernel.SparseArea(mid) <= threshold) {
-          t = mid;
-          lo = mid + 1;
-        } else {
-          hi = mid - 1;
-        }
-      }
+      t = std::max(LargestEndpointWithin(kernel, anchor_, ctx.n, threshold,
+                                         &counters->steps),
+                   anchor_);
     } else {
       t = std::max(pointer, anchor_);
       // Batched linear walk: evaluate the next window of areas in one

@@ -379,6 +379,38 @@ TEST(AppendOnlyMode, RefreshPointsMatchFreshDiscovery) {
     const Tableau& again = discoverer->RefreshCover();
     EXPECT_EQ(&again, &discoverer->tableau());
   }
+
+  // Long deferral: 256 deferred 64-tick batches, then a single refresh,
+  // under the default request and the paper's Table II request (AB, debit,
+  // fail, c_hat = s_hat = 0.5).
+  const int64_t kBatch = 64;
+  const int64_t kDeferred = 256;
+  const int64_t long_n = kBatch * (kDeferred + 1);
+  const series::CountSequence long_counts =
+      testing_util::RandomDominatedCounts(/*seed=*/78, long_n);
+  TableauRequest table2;
+  table2.type = TableauType::kFail;
+  table2.model = ConfidenceModel::kDebit;
+  table2.c_hat = 0.5;
+  table2.s_hat = 0.5;
+  for (const TableauRequest& request : {TableauRequest{}, table2}) {
+    auto discoverer =
+        IncrementalDiscoverer::Create(long_counts.Prefix(kBatch), request);
+    ASSERT_TRUE(discoverer.ok()) << discoverer.status().message();
+    discoverer->SetAppendOnly(true);
+    for (int64_t at = kBatch; at < long_n; at += kBatch) {
+      discoverer->AppendBatch(long_counts.outbound().data() + at,
+                              long_counts.inbound().data() + at, kBatch);
+    }
+    EXPECT_TRUE(discoverer->cover_stale());
+    const series::CumulativeSeries cumulative(long_counts);
+    const core::ConfidenceEvaluator eval(&cumulative, request.model);
+    const auto fresh = core::DiscoverTableau(eval, request);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().message();
+    ExpectSameTableau(discoverer->RefreshCover(), fresh.value(),
+                      " long deferral model=" +
+                          std::to_string(static_cast<int>(request.model)));
+  }
 }
 
 // Toggling append-only off mid-stream resumes eager per-batch maintenance
