@@ -813,10 +813,12 @@ int RunIncrBench(int argc, char** argv, const std::string& json_path) {
     const char* name;
     interval::AlgorithmKind kind;
   };
-  // Exhaustive is quadratic and excluded at these sizes; plain AB matches
-  // AB-opt's incremental path closely enough that tracking both would
-  // double the fresh-baseline cost for no extra signal.
+  // Exhaustive is quadratic and excluded at these sizes. AB and AB-opt
+  // have separate incremental paths (AB's level ladder with per-batch
+  // pointers and a largest-first fold, AB-opt's breakpoint chain), so both
+  // are tracked.
   const Algo algos[] = {
+      {"ab", interval::AlgorithmKind::kAreaBased},
       {"ab_opt", interval::AlgorithmKind::kAreaBasedOpt},
       {"nab", interval::AlgorithmKind::kNonAreaBased},
   };

@@ -13,11 +13,14 @@
 #ifndef CONSERVATION_BENCH_BENCH_UTIL_H_
 #define CONSERVATION_BENCH_BENCH_UTIL_H_
 
+#include <sched.h>
+
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -93,6 +96,77 @@ inline std::string OutputPath(const std::string& filename) {
   std::error_code ec;
   std::filesystem::create_directories("bench/out", ec);
   return (std::filesystem::path("bench/out") / filename).string();
+}
+
+// Output of a shell command with trailing whitespace trimmed; "" when it
+// fails.
+inline std::string CommandOutput(const std::string& command) {
+  std::FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return "";
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+  if (pclose(pipe) != 0) return "";
+  while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
+    out.pop_back();
+  }
+  return out;
+}
+
+// Host and build facts of this process, stamped onto every BenchJson record
+// as a `provenance` object with the fields perfbench/run.py reports: nproc
+// (CPUs this process may run on), CPU model, build type, compiler, and the
+// source tree's git sha ("-dirty" with uncommitted changes, "unknown"
+// without git). tools/bench_diff.py warns when two files' hosts differ.
+inline const std::string& ProvenanceJson() {
+  static const std::string json = [] {
+    cpu_set_t cpus;
+    CPU_ZERO(&cpus);
+    const int nproc = sched_getaffinity(0, sizeof(cpus), &cpus) == 0
+                          ? CPU_COUNT(&cpus)
+                          : 0;
+    std::string cpu_model = "unknown";
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    for (std::string line; std::getline(cpuinfo, line);) {
+      if (line.rfind("model name", 0) != 0) continue;
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos) cpu_model = line.substr(colon + 2);
+      break;
+    }
+#if defined(__clang__)
+    const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+    const std::string compiler = std::string("g++ ") + __VERSION__;
+#else
+    const std::string compiler = "unknown";
+#endif
+    const std::string git = std::string("git -C '") +
+                            CONSERVATION_SOURCE_DIR + "' ";
+    std::string source = CommandOutput(git + "rev-parse HEAD 2>/dev/null");
+    if (source.empty()) {
+      source = "unknown";
+    } else {
+      source = "git:" + source;
+      if (!CommandOutput(git + "status --porcelain 2>/dev/null").empty()) {
+        source += "-dirty";
+      }
+    }
+    io::JsonWriter w;
+    w.BeginObject();
+    w.Key("nproc");
+    w.Int(nproc);
+    w.Key("cpu_model");
+    w.String(cpu_model);
+    w.Key("build_type");
+    w.String(CONSERVATION_BUILD_TYPE);
+    w.Key("compiler");
+    w.String(compiler);
+    w.Key("source");
+    w.String(source);
+    w.EndObject();
+    return w.str();
+  }();
+  return json;
 }
 
 // Collects per-run records and writes them as a JSON array. Inactive when
@@ -547,6 +621,8 @@ class BenchJson {
         json.Key("metrics");
         json.Raw(record.metrics_json);
       }
+      json.Key("provenance");
+      json.Raw(ProvenanceJson());
       json.EndObject();
     }
     json.EndArray();

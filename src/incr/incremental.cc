@@ -1,8 +1,7 @@
 #include "incr/incremental.h"
 
 #include <algorithm>
-#include <cmath>
-#include <utility>
+#include <vector>
 
 #include "interval/area_based.h"
 #include "interval/kernel.h"
@@ -100,7 +99,7 @@ util::Result<IncrementalDiscoverer> IncrementalDiscoverer::Create(
   IncrementalDiscoverer discoverer(initial, request);
   // The initial series is the first batch: every anchor is new.
   discoverer.ProcessBatch(series::CumulativeSeries::AppendResult{0, 1, false});
-  return std::move(discoverer);
+  return discoverer;
 }
 
 IncrementalDiscoverer::IncrementalDiscoverer(
@@ -287,8 +286,24 @@ void IncrementalDiscoverer::GrowStateArrays(int64_t n) {
 // its confidence test folds into the persistent (best_j, best_conf) once.
 // A walk that stopped at t == n holds an O(1) frontier: while
 // area(i, n') <= T it stays stopped (the breakpoint rides the frontier and
-// is evaluated tentatively each batch), and the first batch where the area
-// crosses T settles the level by binary search and resumes the ladder.
+// is evaluated tentatively each batch).
+//
+// The levels an append makes an anchor cross settle together (DESIGN.md
+// §4g):
+//   * Largest-first fold. The new stop level is the first ladder level
+//     whose threshold reaches area(i, n); every ladder level below it is
+//     crossed. Crossed levels settle from the highest down, and the fold
+//     ends at the first breakpoint that has no within-threshold endpoint,
+//     is <= best_j, or qualifies (and replaces best_j): breakpoints are
+//     nondecreasing in the level, so no lower level can change the argmax-j
+//     fold. The zero level and its credit-fail prefix probes lie below
+//     every higher breakpoint. A skipped level is never revisited, because
+//     an anchor's ladder position only moves up.
+//   * Per-batch Lemma 3 pointers. Each level's cursor runs over the anchors
+//     that settle it in this batch (LevelBreakpoint): the first one
+//     binary-searches, later ones walk forward from max(cursor, lo). lo is
+//     old_n for an anchor that was stopped (area(i, old_n) <= T_stopped <=
+//     T), else i.
 // ---------------------------------------------------------------------------
 void IncrementalDiscoverer::ProcessAreaBased(
     const series::CumulativeSeries::AppendResult& delta, int64_t dirty_begin) {
@@ -306,14 +321,16 @@ void IncrementalDiscoverer::ProcessAreaBased(
                                        growth);
   const size_t num_thresholds = thresholds.size();
   const std::vector<int64_t> zero_prefix_lengths =
-      fail_type_ ? interval::internal::ZeroPrefixLengths(n, growth)
-                 : std::vector<int64_t>();
+      credit_fail_ ? interval::internal::ZeroPrefixLengths(n, growth)
+                   : std::vector<int64_t>();
 
   ConfidenceKernel kernel(*eval_, gen_options_.type);
+  std::vector<int64_t> pointer(num_thresholds, 0);  // 0 = not yet located
+  interval::internal::AbWalkScratch scratch;
+  interval::internal::WalkStepCounters counters;  // execution shape only
   for (int64_t i = 1; i <= n; ++i) {
     AbState& st = ab_[static_cast<size_t>(i)];
     if (i > old_n || i >= dirty_begin) st = AbState{};
-    kernel.BeginAnchor(i);
 
     if (st.stage == AbState::kExhausted && st.level >= num_thresholds) {
       // Ladder fully consumed and no new levels appeared: the candidate is
@@ -321,88 +338,69 @@ void IncrementalDiscoverer::ProcessAreaBased(
       UpdateCandidate(i, st.best_j >= i, i, st.best_j, st.best_conf);
       continue;
     }
+    kernel.BeginAnchor(i);
+    const double area_n = kernel.SparseArea(n);
 
-    // first_level replicates AbWalkState::Begin. For a clean anchor it is
-    // batch-invariant: area(i, i), Delta and growth do not move (credit/
+    // Unsettled ladder: the zero level (fail tableaux, until it settles),
+    // then levels [from, num_thresholds). first_level replicates
+    // AbWalkState::Begin; for a clean anchor it is batch-invariant (credit/
     // debit anchors whose SuffixMinGap changed were reset above).
-    size_t first_level = fail_type_ ? 1 : 0;
-    const double anchor_area = kernel.SparseArea(i);
-    if (anchor_area > dlt) {
-      const double levels_below =
-          std::log(anchor_area / dlt) / std::log(growth);
-      first_level += static_cast<size_t>(std::max(0.0, levels_below - 1.0));
+    const bool at_zero =
+        fail_type_ && (st.stage == AbState::kFresh || st.level == 0);
+    size_t from = st.level;
+    if (st.stage == AbState::kFresh || at_zero) {
+      from = interval::internal::AbFirstLevel(kernel, i, dlt, growth,
+                                              fail_type_);
+    }
+    // Stop level: the first unsettled level whose threshold reaches
+    // area(i, n), i.e. whose breakpoint is n. stop >= num_thresholds means
+    // the ladder runs out (kept as the resume level, like the walk's).
+    const bool stop_at_zero = at_zero && area_n <= 0.0;
+    size_t stop = from;
+    if (stop_at_zero) {
+      stop = 0;
+    } else if (from < num_thresholds) {
+      stop = static_cast<size_t>(
+          std::lower_bound(thresholds.begin() + static_cast<ptrdiff_t>(from),
+                           thresholds.end(), area_n) -
+          thresholds.begin());
     }
 
-    size_t level;
-    bool stopped = false;
-    bool tent_at_n = false;  // frontier breakpoint at n, evaluated per batch
-    bool tent_zp = false;    // zae would settle at n: tentative zero prefix
-    if (st.stage == AbState::kFresh) {
-      level = fail_type_ ? 0 : first_level;
-    } else if (st.stage == AbState::kStopped) {
-      const double threshold = thresholds[st.level];
-      if (kernel.SparseArea(n) <= threshold) {
-        // Still stopped: the breakpoint extended to the new n.
-        stopped = true;
-        tent_at_n = true;
-        tent_zp = threshold == 0.0 && !st.zae_settled;
-      } else {
-        level = st.level;  // the stopped level settles in the loop below
+    const int64_t lo = st.stage == AbState::kStopped ? old_n : i;
+    int64_t t = 0;  // the last settled breakpoint
+    // Settles one crossed level into the fold; false ends the fold.
+    auto settle = [&](size_t level) {
+      const double threshold = thresholds[level];
+      t = interval::internal::LevelBreakpoint(kernel, lo, n, threshold,
+                                              &pointer[level], &scratch,
+                                              &counters);
+      if (!(kernel.SparseArea(t) <= threshold) || t <= st.best_j) {
+        return false;
       }
-    } else {
-      level = st.level;  // kExhausted: only the newly appeared levels run
+      double conf;
+      if (kernel.Confidence(t, &conf) &&
+          interval::PassesRelaxedThreshold(conf, gen_options_)) {
+        st.best_j = t;
+        st.best_conf = conf;
+        return false;
+      }
+      return true;
+    };
+    bool folding = true;
+    for (size_t level = stop; folding && level-- > from;) {
+      folding = settle(level);
+    }
+    if (folding && at_zero && !stop_at_zero && settle(0) && credit_fail_ &&
+        t > i) {
+      // The zero level settled below n with zero-area end t: its prefix
+      // probes are final too.
+      FoldZeroPrefix(kernel, gen_options_, zero_prefix_lengths, i, t,
+                     &st.best_j, &st.best_conf);
     }
 
-    if (!stopped) {
-      while (level < num_thresholds) {
-        const double threshold = thresholds[level];
-        int64_t t;
-        bool exists;
-        if (kernel.SparseArea(n) <= threshold) {
-          // Frontier shortcut: the fresh search would return n with a
-          // within-threshold area. Value-identical to the walk's
-          // breakpoint, found in O(1) instead of O(log n).
-          t = n;
-          exists = true;
-        } else {
-          // The fresh first-touch search (walk.h): t == i with
-          // exists == false when even [i, i] exceeds T.
-          t = std::max(LargestEndpointWithin(kernel, i, n, threshold), i);
-          exists = kernel.SparseArea(t) <= threshold;
-        }
-        if (exists && t == n) {
-          st.stage = AbState::kStopped;
-          st.level = static_cast<uint32_t>(level);
-          stopped = true;
-          tent_at_n = true;
-          tent_zp = threshold == 0.0 && !st.zae_settled;
-          break;
-        }
-        if (exists) {
-          if (threshold == 0.0 && !st.zae_settled) {
-            // Zero level settled below n: area(t + 1) > 0 persists, so the
-            // zero-area end and its prefix probes are final.
-            st.zae = t;
-            st.zae_settled = true;
-            if (credit_fail_ && st.zae > i) {
-              FoldZeroPrefix(kernel, gen_options_, zero_prefix_lengths, i,
-                             st.zae, &st.best_j, &st.best_conf);
-            }
-          }
-          FoldRelaxedTest(kernel, gen_options_, t, &st.best_j, &st.best_conf);
-        } else if (threshold == 0.0 && !st.zae_settled) {
-          // area(i, i) > 0 persists: no zero-area prefix, ever.
-          st.zae = 0;
-          st.zae_settled = true;
-        }
-        ++level;
-        if (level == 1 && first_level > 1) level = first_level;
-      }
-      if (!stopped) {
-        st.stage = AbState::kExhausted;
-        st.level = static_cast<uint32_t>(level);
-      }
-    }
+    const bool stopped = stop_at_zero || stop < num_thresholds;
+    st.stage = stopped ? AbState::kStopped : AbState::kExhausted;
+    st.level = static_cast<uint32_t>(stop);
 
     // Candidate = settled fold + this batch's tentative frontier tests.
     // Tentative results never enter st: they are recomputed (at the moved
@@ -410,11 +408,11 @@ void IncrementalDiscoverer::ProcessAreaBased(
     // combining order does not matter.
     int64_t cj = st.best_j;
     double cc = st.best_conf;
-    if (tent_zp && n > i) {
-      FoldZeroPrefix(kernel, gen_options_, zero_prefix_lengths, i, /*zae=*/n,
-                     &cj, &cc);
-    }
-    if (tent_at_n) {
+    if (stopped) {
+      if (stop_at_zero && credit_fail_ && n > i) {
+        FoldZeroPrefix(kernel, gen_options_, zero_prefix_lengths, i,
+                       /*zae=*/n, &cj, &cc);
+      }
       FoldRelaxedTest(kernel, gen_options_, n, &cj, &cc);
     }
     UpdateCandidate(i, cj >= i, i, cj, cc);

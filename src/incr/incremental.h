@@ -17,7 +17,9 @@
 //     fold into a per-anchor (best_j, best_conf) pair once and are never
 //     re-evaluated; the at-most-one unsettled frontier test per anchor is
 //     re-probed per batch in O(1) (is area(n') still within the frontier
-//     threshold?) and binary-searched only when it settles.
+//     threshold?) and searched for only when it settles. AB settles the
+//     levels one append crosses together, largest first, with per-batch
+//     Lemma 3 level pointers (DESIGN.md §4g).
 //   * NAB/NAB-opt candidates for old right anchors are exactly unchanged
 //     (their length schedule prefix and left-anchor probes are independent
 //     of n), so only the m new anchors walk at all.
@@ -143,13 +145,13 @@ class IncrementalDiscoverer {
 
  private:
   // Per-anchor resume state for the area-based level walk. `level` is the
-  // stopped level (kStopped) or the next unprocessed one (kExhausted).
+  // stopped level (kStopped) or the next unprocessed one (kExhausted). A
+  // fail tableau's zero level is unsettled exactly while the anchor is
+  // fresh or stopped on it (level 0).
   struct AbState {
     enum : uint8_t { kFresh = 0, kStopped = 1, kExhausted = 2 };
     uint8_t stage = kFresh;
     uint32_t level = 0;
-    bool zae_settled = false;
-    int64_t zae = 0;  // settled zero-area end (credit-fail zero prefix)
     int64_t best_j = 0;
     double best_conf = 0.0;
   };

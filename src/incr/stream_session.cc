@@ -16,7 +16,7 @@ util::Result<StreamSession> StreamSession::Create(
   for (int64_t t = 1; t <= initial.n(); ++t) {
     session.monitor_->Observe(initial.a(t), initial.b(t));
   }
-  return std::move(session);
+  return session;
 }
 
 StreamSession::StreamSession(IncrementalDiscoverer discoverer,

@@ -376,15 +376,80 @@ struct AbWalkScratch {
   std::vector<uint8_t> zp_valid;
 };
 
+// First nonzero ladder level of an anchor's AB sweep. Levels whose
+// threshold is below area(i, i) have no breakpoint for this anchor; the
+// sweep skips straight past them (with a safety margin of one level
+// against floating-point rounding). The zero level for fail tableaux
+// (index 0, threshold 0) is never skipped: it precedes this level.
+inline size_t AbFirstLevel(const ConfidenceKernel& kernel, int64_t i,
+                           double delta, double growth, bool fail_type) {
+  size_t first_level = fail_type ? 1 : 0;
+  const double anchor_area = kernel.SparseArea(i);
+  if (anchor_area > delta) {
+    const double levels_below =
+        std::log(anchor_area / delta) / std::log(growth);
+    first_level += static_cast<size_t>(std::max(0.0, levels_below - 1.0));
+  }
+  return first_level;
+}
+
+// One AB level's breakpoint for the anchored kernel: the largest j in
+// [lo, n] whose area is within `threshold`, or lo when there is none (the
+// caller tests existence with one more probe). `*pointer` is the level's
+// never-retreating cursor over ascending anchors (Lemma 3): 0 means not yet
+// located, and the level is binary-searched over [lo, n]; otherwise the
+// search walks forward from max(*pointer, lo) in SparseAreaBatch windows.
+// The result is stored back into *pointer. The walk is exact because the
+// area is nondecreasing in j and an earlier anchor's breakpoint never lies
+// past a later anchor's; its start must be within the threshold or be the
+// anchor itself. Counter increments are the scalar loop's: one per search
+// probe or advanced endpoint, one batch per window. Always inlined: it is
+// the body of the fresh sweep's hottest step.
+[[gnu::always_inline]] inline int64_t LevelBreakpoint(
+    const ConfidenceKernel& kernel, int64_t lo, int64_t n, double threshold,
+    int64_t* pointer, AbWalkScratch* scratch, WalkStepCounters* counters) {
+  int64_t t;
+  if (*pointer == 0) {
+    // First touch: t = lo when even [i, lo] exceeds the threshold,
+    // matching the walk's no-advance case.
+    t = std::max(
+        LargestEndpointWithin(kernel, lo, n, threshold, &counters->steps), lo);
+  } else {
+    t = std::max(*pointer, lo);
+    // Batched linear walk: evaluate the next window of areas in one
+    // SparseAreaBatch call and advance through its within-threshold
+    // prefix. Stops at the same breakpoint as the scalar walk (the area is
+    // evaluated for every advanced endpoint plus the first failing one —
+    // extra lanes are speculative and side-effect free), and `steps` still
+    // counts only actual advances.
+    int64_t window = 4;
+    while (t + 1 <= n) {
+      const int64_t j1 = std::min<int64_t>(n, t + window);
+      const int64_t len = j1 - t;
+      kernel.SparseAreaBatch(t + 1, j1, scratch->area_buf);
+      ++counters->batches;
+      int64_t advanced = 0;
+      while (advanced < len && scratch->area_buf[advanced] <= threshold) {
+        ++advanced;
+      }
+      t += advanced;
+      counters->steps += static_cast<uint64_t>(advanced);
+      if (advanced < len) break;  // hit the first endpoint past T
+      window = std::min<int64_t>(window * 2, AbWalkScratch::kMaxWalk);
+    }
+  }
+  *pointer = t;
+  return t;
+}
+
 // One anchor's AB level sweep as a resumable state machine. Each Step()
-// consumes one level — first-touch binary search or pointer-amortized
-// batched linear walk, then the breakpoint's confidence probe — and the
-// credit-fail zero-prefix batch runs as a final step. Checkpointing
-// between steps and resuming (with the chunk's pointer vector restored)
-// reproduces the uninterrupted walk's candidate and counters exactly: a
-// step is the scalar loop body verbatim, and all cross-step state lives in
-// this struct plus ctx.pointer. The kernel must be anchored at anchor()
-// (BeginAnchor) when Begin/Step run.
+// consumes one level — LevelBreakpoint, then the breakpoint's confidence
+// probe — and the credit-fail zero-prefix batch runs as a final step.
+// Checkpointing between steps and resuming (with the chunk's pointer
+// vector restored) reproduces the uninterrupted walk's candidate and
+// counters exactly: a step is the scalar loop body verbatim, and all
+// cross-step state lives in this struct plus ctx.pointer. The kernel must
+// be anchored at anchor() (BeginAnchor) when Begin/Step run.
 class AbWalkState {
  public:
   enum class Phase { kLevels, kZeroPrefix, kDone };
@@ -395,17 +460,8 @@ class AbWalkState {
     best_j_ = 0;
     best_conf_ = 0.0;
     zero_area_end_ = 0;
-    // Levels whose threshold is below area(i, i) have no breakpoint for
-    // this anchor; skip straight past them (with a safety margin of one
-    // level against floating-point rounding). The zero level for fail
-    // tableaux (index 0, threshold 0) is never skipped.
-    first_level_ = ctx.fail_type ? 1 : 0;
-    const double anchor_area = kernel.SparseArea(i);
-    if (anchor_area > ctx.delta) {
-      const double levels_below =
-          std::log(anchor_area / ctx.delta) / std::log(ctx.growth);
-      first_level_ += static_cast<size_t>(std::max(0.0, levels_below - 1.0));
-    }
+    first_level_ = AbFirstLevel(kernel, i, ctx.delta, ctx.growth,
+                                ctx.fail_type);
     level_ = ctx.fail_type ? 0 : first_level_;
     phase_ = level_ < ctx.thresholds->size() ? Phase::kLevels
                                              : Phase::kZeroPrefix;
@@ -430,40 +486,9 @@ class AbWalkState {
       return;
     }
     const double threshold = (*ctx.thresholds)[level_];
-    int64_t& pointer = (*ctx.pointer)[level_];
-    int64_t t;
-    if (pointer == 0) {
-      // First touch in this chunk: binary-search the largest endpoint in
-      // [i, n] whose area is within the threshold (t = i when even [i, i]
-      // exceeds it, matching the walk's no-advance case).
-      t = std::max(LargestEndpointWithin(kernel, anchor_, ctx.n, threshold,
-                                         &counters->steps),
-                   anchor_);
-    } else {
-      t = std::max(pointer, anchor_);
-      // Batched linear walk: evaluate the next window of areas in one
-      // SparseAreaBatch call and advance through its within-threshold
-      // prefix. Stops at the same breakpoint as the scalar walk (the area
-      // is evaluated for every advanced endpoint plus the first failing
-      // one — extra lanes are speculative and side-effect free), and
-      // `steps` still counts only actual advances.
-      int64_t window = 4;
-      while (t + 1 <= ctx.n) {
-        const int64_t j1 = std::min<int64_t>(ctx.n, t + window);
-        const int64_t len = j1 - t;
-        kernel.SparseAreaBatch(t + 1, j1, scratch->area_buf);
-        ++counters->batches;
-        int64_t advanced = 0;
-        while (advanced < len && scratch->area_buf[advanced] <= threshold) {
-          ++advanced;
-        }
-        t += advanced;
-        counters->steps += static_cast<uint64_t>(advanced);
-        if (advanced < len) break;  // hit the first endpoint past T
-        window = std::min<int64_t>(window * 2, AbWalkScratch::kMaxWalk);
-      }
-    }
-    pointer = t;
+    const int64_t t = LevelBreakpoint(kernel, anchor_, ctx.n, threshold,
+                                      &(*ctx.pointer)[level_], scratch,
+                                      counters);
     const bool exists = kernel.SparseArea(t) <= threshold;
     if (exists) {
       if (threshold == 0.0) zero_area_end_ = t;

@@ -10,6 +10,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -32,6 +33,7 @@ struct ServeMetrics {
   obs::Counter& frames;
   obs::Counter& appends_accepted;
   obs::Counter& appends_rejected;
+  obs::Counter& appends_invalid;
   obs::Counter& ticks_ingested;
   obs::Counter& ticks_processed;
   obs::Counter& batches_dispatched;
@@ -51,6 +53,7 @@ struct ServeMetrics {
         reg.Counter("serve.frames"),
         reg.Counter("serve.appends_accepted"),
         reg.Counter("serve.appends_rejected"),
+        reg.Counter("serve.appends_invalid"),
         reg.Counter("serve.ticks_ingested"),
         reg.Counter("serve.ticks_processed"),
         reg.Counter("serve.batches_dispatched"),
@@ -78,6 +81,16 @@ bool SendAll(int fd, const char* data, size_t size) {
       return false;
     }
     sent += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+// Counts the incremental engine can take: finite and nonnegative. A NaN
+// would poison the tenant's dominance filter for good (every later tick
+// filters to (x, 0)), and a negative count would be silently rewritten.
+bool ValidCounts(const std::vector<double>& counts) {
+  for (const double count : counts) {
+    if (!(std::isfinite(count) && count >= 0.0)) return false;
   }
   return true;
 }
@@ -327,6 +340,12 @@ void ServeDaemon::AdmitAppendLocked(const AppendFrame& append, AckFrame* ack) {
     metrics.appends_rejected.Increment();
     return;
   }
+  if (!ValidCounts(append.a) || !ValidCounts(append.b)) {
+    ack->status = AckStatus::kInvalid;
+    ++stats_.appends_invalid;
+    metrics.appends_invalid.Increment();
+    return;
+  }
   Tenant& tenant = registry_.GetOrCreate(append.tenant_id);
   const int64_t tenant_depth = static_cast<int64_t>(tenant.pend_a.size());
   if (tenant_depth + m > options_.max_tenant_queue_ticks ||
@@ -469,19 +488,27 @@ void ServeDaemon::RefreshSweep(bool final_sweep) {
   }
 
   // Pass 2: enforce the hot-tenant bound (skipped on the final sweep —
-  // shutdown keeps sessions so embedders can inspect them).
+  // shutdown keeps sessions so embedders can inspect them). One LRU scan
+  // per sweep; each victim is re-validated under mu_ before it is pinned,
+  // and one dispatched since the scan (busy, or its dispatch clock moved)
+  // is skipped.
   const int64_t max_hot = registry_.config().max_hot;
-  if (final_sweep || max_hot <= 0) return;
-  while (registry_.hot_count() > max_hot) {
+  if (final_sweep || max_hot <= 0 || registry_.hot_count() <= max_hot) return;
+  std::vector<std::pair<uint64_t, uint64_t>> idle;  // (seq, id)
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    idle = registry_.HotIdleByLru();
+  }
+  for (const auto& [seq, id] : idle) {
+    if (registry_.hot_count() <= max_hot) return;
     Tenant* victim = nullptr;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      const std::vector<uint64_t> idle = registry_.HotIdleByLru();
-      if (idle.empty()) return;
-      victim = registry_.Find(idle.front());
+      victim = registry_.Find(id);
       if (victim == nullptr || victim->in_flight ||
-          victim->session == nullptr || !victim->pend_a.empty()) {
-        return;
+          victim->last_dispatch_seq != seq || victim->session == nullptr ||
+          !victim->pend_a.empty()) {
+        continue;
       }
       victim->in_flight = true;
       ++in_flight_tenants_;
@@ -495,7 +522,6 @@ void ServeDaemon::RefreshSweep(bool final_sweep) {
       victim->in_flight = true;
       ++in_flight_tenants_;
       victim->last_dispatch_seq = ++dispatch_seq_;
-      const uint64_t id = victim->id;
       util::ThreadPool::Shared().Submit([this, id] { ProcessTenant(id); });
     } else if (global_queue_ticks_ == 0 && in_flight_tenants_ == 0) {
       drain_cv_.notify_all();

@@ -90,6 +90,9 @@ struct DaemonStats {
   uint64_t frames = 0;
   uint64_t appends_accepted = 0;
   uint64_t appends_rejected = 0;
+  // Appends refused with kInvalid (a negative or non-finite count); not
+  // counted in appends_rejected, which are retryable.
+  uint64_t appends_invalid = 0;
   uint64_t ticks_ingested = 0;
   uint64_t ticks_processed = 0;
   uint64_t batches_dispatched = 0;

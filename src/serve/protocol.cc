@@ -75,6 +75,8 @@ const char* AckStatusName(AckStatus status) {
       return "backpressure";
     case AckStatus::kShuttingDown:
       return "shutting_down";
+    case AckStatus::kInvalid:
+      return "invalid";
   }
   return "unknown";
 }
@@ -180,7 +182,7 @@ bool FrameReader::Next(Frame* frame) {
       frame->ack.tenant_id = GetU64(p);
       p += 8;
       const uint8_t status = static_cast<uint8_t>(*p++);
-      if (status > static_cast<uint8_t>(AckStatus::kShuttingDown)) {
+      if (status > static_cast<uint8_t>(AckStatus::kInvalid)) {
         return Violation("bad ack status");
       }
       frame->ack.status = static_cast<AckStatus>(status);

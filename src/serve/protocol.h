@@ -33,6 +33,8 @@
 // (durably owned by the daemon and guaranteed applied before a drain
 // completes), not yet applied. kBackpressure means the batch was REJECTED
 // under the per-tenant or global queue bound and must be retried later.
+// kInvalid means the batch carried a negative or non-finite count and was
+// rejected whole; resending it unchanged is rejected again.
 //
 // FrameReader is the incremental decoder both sides use: feed it raw
 // bytes as they arrive, pop complete frames. A protocol violation (bad
@@ -60,6 +62,7 @@ enum class AckStatus : uint8_t {
   kOk = 0,            // batch queued (or ping answered)
   kBackpressure = 1,  // rejected: queue bound hit, retry later
   kShuttingDown = 2,  // rejected: daemon is draining
+  kInvalid = 3,       // rejected: a count is negative or not finite
 };
 
 const char* AckStatusName(AckStatus status);

@@ -143,7 +143,8 @@ void TenantRegistry::Evict(Tenant& tenant) {
   EvictionCounter().Increment();
 }
 
-std::vector<uint64_t> TenantRegistry::HotIdleByLru() const {
+std::vector<std::pair<uint64_t, uint64_t>> TenantRegistry::HotIdleByLru()
+    const {
   std::vector<std::pair<uint64_t, uint64_t>> order;  // (seq, id)
   for (const auto& [id, tenant] : tenants_) {
     // in_flight first: session is written by the pinned worker outside the
@@ -154,10 +155,7 @@ std::vector<uint64_t> TenantRegistry::HotIdleByLru() const {
     }
   }
   std::sort(order.begin(), order.end());
-  std::vector<uint64_t> ids;
-  ids.reserve(order.size());
-  for (const auto& [seq, id] : order) ids.push_back(id);
-  return ids;
+  return order;
 }
 
 }  // namespace conservation::serve

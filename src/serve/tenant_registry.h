@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/tableau.h"
@@ -172,9 +173,9 @@ class TenantRegistry {
   // on their dispatch.
   void Evict(Tenant& tenant);
 
-  // Ids of hot, idle (not in_flight, no pending) tenants ordered by
-  // last_dispatch_seq ascending — the eviction scan's candidate order.
-  std::vector<uint64_t> HotIdleByLru() const;
+  // (last_dispatch_seq, id) of hot, idle (not in_flight, no pending)
+  // tenants in ascending order — the eviction scan's candidate order.
+  std::vector<std::pair<uint64_t, uint64_t>> HotIdleByLru() const;
 
   const TenantConfig& config() const { return config_; }
   int64_t size() const { return static_cast<int64_t>(tenants_.size()); }

@@ -17,10 +17,12 @@
 
 #include "core/confidence.h"
 #include "core/tableau.h"
+#include "datagen/router.h"
 #include "incr/incremental.h"
 #include "incr/stream_session.h"
 #include "interval/generator.h"
 #include "series/cumulative.h"
+#include "series/preprocess.h"
 #include "series/sequence.h"
 #include "series/store.h"
 #include "tests/test_data.h"
@@ -63,9 +65,11 @@ void ExpectSameTableau(const Tableau& incremental, const Tableau& fresh,
 // `batch_size` (0 = one batch with everything) after an initial prefix,
 // comparing against DiscoverTableau over each prefix with rotating
 // output-invariant fresh-side knobs.
+// `check_every` > 1 compares only after every check_every-th batch and
+// after the last one (for long replays, where the fresh runs dominate).
 void RunReplay(const series::CountSequence& counts, TableauRequest request,
                int64_t initial_n, int64_t batch_size,
-               const std::string& context) {
+               const std::string& context, int check_every = 1) {
   request.num_threads = 1;
   request.sketch = interval::SketchMode::kAuto;  // engine ignores; fresh varies
   auto discoverer =
@@ -77,6 +81,13 @@ void RunReplay(const series::CountSequence& counts, TableauRequest request,
   int64_t at = initial_n;
   int batch_index = 0;
   while (true) {
+    if (batch_index % check_every != 0 && at < counts.n()) {
+      const int64_t m = std::min<int64_t>(batch_size, counts.n() - at);
+      discoverer->AppendBatch(a.data() + at, b.data() + at, m);
+      at += m;
+      ++batch_index;
+      continue;
+    }
     // Fresh recompute over the same prefix, with contract-invariant knobs
     // rotated so one replay exercises threads x sketch x largest-first.
     const series::CumulativeSeries cumulative(counts.Prefix(at));
@@ -155,6 +166,122 @@ INSTANTIATE_TEST_SUITE_P(
                       AlgorithmKind::kNonAreaBasedOpt),
     [](const ::testing::TestParamInfo<AlgorithmKind>& info) {
       return std::string(interval::AlgorithmKindName(info.param));
+    });
+
+// Long-history AB replays on router data: n = 4096 at eps = 0.01, where an
+// append makes each anchor cross many threshold levels, so the per-batch
+// level pointers and the largest-first fold settle many levels at once.
+// Each series splices two routers of a Table II fleet, one faulty and one
+// clean, so anchors in the first part stop qualifying over [i, n] as the
+// second part grows and their candidates come from settled levels. It also
+// carries a gap drop inside a batch: under the credit and debit models the
+// drop dirties a suffix of the old anchors, which re-walk from scratch
+// next to clean anchors that resume and new anchors. Batches of 64 and 960
+// ticks.
+struct LongHistoryCase {
+  const char* name;
+  ConfidenceModel model;
+  TableauType type;
+  double c_hat;
+  bool faulty_first;  // Router-1 then a clean router, or the reverse
+};
+
+class IncrLongHistory : public ::testing::TestWithParam<LongHistoryCase> {};
+
+// Ticks [0, splice_at) of `head` and [splice_at, n) of `tail`, after
+// EnforceDominance, with the gap SB - SA lowered from tick `drop_at` on by
+// half its suffix minimum there (so dominance holds).
+series::CountSequence SpliceWithGapDrop(const series::CountSequence& head,
+                                        const series::CountSequence& tail,
+                                        int64_t splice_at, int64_t drop_at) {
+  std::vector<double> a = tail.outbound();
+  std::vector<double> b = tail.inbound();
+  std::copy(head.outbound().begin(), head.outbound().begin() + splice_at,
+            a.begin());
+  std::copy(head.inbound().begin(), head.inbound().begin() + splice_at,
+            b.begin());
+  auto spliced = series::CountSequence::Create(a, b);
+  EXPECT_TRUE(spliced.ok());
+  const series::CountSequence counts =
+      series::EnforceDominance(spliced.value());
+  a = counts.outbound();
+  b = counts.inbound();
+  std::vector<double> gap(a.size());
+  double sa = 0.0;
+  double sb = 0.0;
+  for (size_t k = 0; k < a.size(); ++k) {
+    sa += a[k];
+    sb += b[k];
+    gap[k] = sb - sa;
+  }
+  double suffix_min = gap.back();
+  for (size_t k = a.size(); k-- > static_cast<size_t>(drop_at);) {
+    suffix_min = std::min(suffix_min, gap[k]);
+  }
+  a[static_cast<size_t>(drop_at)] += 0.5 * std::max(0.0, suffix_min);
+  auto dropped = series::CountSequence::Create(a, b);
+  EXPECT_TRUE(dropped.ok());
+  return dropped.value();
+}
+
+TEST_P(IncrLongHistory, AreaBasedRouterReplaysMatchFreshDiscovery) {
+  const LongHistoryCase& param = GetParam();
+  const int64_t total_n = 4096;
+  const int64_t initial_n = total_n - 3 * 960;
+  const int64_t splice_at = 2600;
+  // Inside the second 960-tick batch, and mid-way through a 64-tick one.
+  const int64_t drop_at = initial_n + 960 + 500;
+  const std::vector<datagen::RouterData> fleet =
+      datagen::GenerateRouterFleet(/*num_clean=*/1, total_n, /*seed=*/2012);
+  const series::CountSequence& faulty = fleet.front().counts;  // Router-1
+  const series::CountSequence& clean = fleet.back().counts;
+  const series::CountSequence counts =
+      param.faulty_first
+          ? SpliceWithGapDrop(faulty, clean, splice_at, drop_at)
+          : SpliceWithGapDrop(clean, faulty, splice_at, drop_at);
+  ASSERT_EQ(counts.n(), total_n);
+
+  TableauRequest request;
+  request.algorithm = AlgorithmKind::kAreaBased;
+  request.model = param.model;
+  request.type = param.type;
+  request.c_hat = param.c_hat;
+  request.s_hat = 0.5;
+  request.epsilon = 0.01;
+  request.delta_mode = interval::DeltaMode::kOne;
+
+  const std::string context = std::string(" [") + param.name + " batch=";
+  // Every 960-tick batch is checked; the 45 64-tick ones every 5th.
+  RunReplay(counts, request, initial_n, 960, context + "960]");
+  if (::testing::Test::HasFailure()) return;
+  RunReplay(counts, request, initial_n, 64, context + "64]",
+            /*check_every=*/5);
+  if (::testing::Test::HasFailure()) return;
+
+  if (param.model == ConfidenceModel::kBalance) return;
+  // The drop dirties old anchors, but not all of them: the batch that
+  // carries it mixes dirty, resumed and new anchors.
+  auto discoverer =
+      IncrementalDiscoverer::Create(counts.Prefix(drop_at), request);
+  ASSERT_TRUE(discoverer.ok());
+  discoverer->AppendBatch(counts.outbound().data() + drop_at,
+                          counts.inbound().data() + drop_at, 64);
+  EXPECT_GT(discoverer->stats().dirty_anchors, 0);
+  EXPECT_LT(discoverer->stats().dirty_anchors, drop_at);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Requests, IncrLongHistory,
+    ::testing::Values(
+        // The paper's Table II request.
+        LongHistoryCase{"table2_debit_fail", ConfidenceModel::kDebit,
+                        TableauType::kFail, 0.5, /*faulty_first=*/true},
+        LongHistoryCase{"credit_fail", ConfidenceModel::kCredit,
+                        TableauType::kFail, 0.5, /*faulty_first=*/true},
+        LongHistoryCase{"balance_hold", ConfidenceModel::kBalance,
+                        TableauType::kHold, 0.9, /*faulty_first=*/false}),
+    [](const ::testing::TestParamInfo<LongHistoryCase>& info) {
+      return std::string(info.param.name);
     });
 
 TEST(IncrementalDiscoverer, RejectsStopOnFullCover) {

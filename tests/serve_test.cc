@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -119,6 +121,28 @@ TEST(Protocol, StatsReplyRoundTrip) {
   EXPECT_EQ(frame.stats.ticks_ingested, 1234567890123ULL);
   EXPECT_EQ(frame.stats.ticks_processed, 1234567890000ULL);
   EXPECT_EQ(frame.stats.batches_rejected, 7u);
+}
+
+TEST(Protocol, InvalidAckStatusRoundTrips) {
+  AckFrame ack;
+  ack.tenant_id = 9;
+  ack.status = AckStatus::kInvalid;
+  std::string wire;
+  serve::EncodeAck(ack, &wire);
+  FrameReader reader;
+  reader.Feed(wire.data(), wire.size());
+  Frame frame;
+  ASSERT_TRUE(reader.Next(&frame));
+  EXPECT_EQ(frame.ack.status, AckStatus::kInvalid);
+  EXPECT_STREQ(serve::AckStatusName(AckStatus::kInvalid), "invalid");
+
+  // The status byte past the last defined status is a violation.
+  const uint8_t past_last = static_cast<uint8_t>(AckStatus::kInvalid) + 1;
+  wire[4 + 1 + 8] = static_cast<char>(past_last);  // len | type | tenant
+  FrameReader reader2;
+  reader2.Feed(wire.data(), wire.size());
+  EXPECT_FALSE(reader2.Next(&frame));
+  EXPECT_TRUE(reader2.failed());
 }
 
 TEST(Protocol, OversizedFramePoisonsReader) {
@@ -386,6 +410,118 @@ TEST(ServeDaemon, AllZeroTenantStaysPendingOnlyUntilValid) {
   ASSERT_NE(tenant->session, nullptr);  // first nonzero tick unlocked it
   EXPECT_EQ(tenant->session->n(), 8);   // zeros included in the series
   daemon.Stop();
+}
+
+// Negative and non-finite counts are refused whole at admission with
+// kInvalid: nothing is queued and no tenant is created. A NaN that got
+// through would poison the tenant's dominance filter and abort the daemon
+// at its next dispatch; a negative count would be silently rewritten.
+TEST(ServeDaemon, RejectsNonFiniteAndNegativeCounts) {
+  serve::DaemonOptions options;
+  options.refresh_ms = 0;
+  serve::ServeDaemon daemon(TestTenantConfig(), options);
+  ASSERT_TRUE(daemon.Start().ok());
+  serve::ServeClient client;
+  ASSERT_TRUE(client.Connect(daemon.port()).ok());
+
+  const double bad_counts[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity(),
+                               -1.0};
+  uint64_t invalid = 0;
+  for (const double bad : bad_counts) {
+    for (const bool in_a : {true, false}) {
+      std::vector<double> a = {1.0, 1.0, 1.0};
+      std::vector<double> b = {2.0, 2.0, 2.0};
+      (in_a ? a : b)[1] = bad;
+      auto ack = client.Append(100, a.data(), b.data(), 3);
+      ASSERT_TRUE(ack.ok()) << ack.status().message();
+      EXPECT_EQ(ack->status, AckStatus::kInvalid)
+          << bad << (in_a ? " in a" : " in b");
+      EXPECT_EQ(ack->accepted_ticks, 0u);
+      ++invalid;
+    }
+  }
+  EXPECT_EQ(daemon.registry().Find(100), nullptr);
+
+  // A tenant keeps serving across a refused append: the valid ticks around
+  // it apply, and the tableau matches fresh discovery over them alone.
+  const series::CountSequence counts =
+      testing_util::RandomDominatedCounts(/*seed=*/13, 48);
+  const std::vector<double>& a = counts.outbound();
+  const std::vector<double>& b = counts.inbound();
+  auto ack = client.Append(7, a.data(), b.data(), 24);
+  ASSERT_TRUE(ack.ok());
+  EXPECT_EQ(ack->status, AckStatus::kOk);
+  std::vector<double> nan_a(a.begin() + 24, a.end());
+  nan_a[3] = std::numeric_limits<double>::quiet_NaN();
+  ack = client.Append(7, nan_a.data(), b.data() + 24, 24);
+  ASSERT_TRUE(ack.ok());
+  EXPECT_EQ(ack->status, AckStatus::kInvalid);
+  ++invalid;
+  ack = client.Append(7, a.data() + 24, b.data() + 24, 24);
+  ASSERT_TRUE(ack.ok());
+  EXPECT_EQ(ack->status, AckStatus::kOk);
+  daemon.DrainQueues();
+
+  serve::Tenant* tenant = daemon.registry().Find(7);
+  ASSERT_NE(tenant, nullptr);
+  ASSERT_NE(tenant->session, nullptr);
+  daemon.registry().RefreshCover(*tenant);
+  const series::CumulativeSeries cumulative(counts);
+  const core::ConfidenceEvaluator eval(&cumulative,
+                                       TestTenantConfig().request.model);
+  auto fresh = core::DiscoverTableau(eval, TestTenantConfig().request);
+  ASSERT_TRUE(fresh.ok());
+  ExpectSameTableau(tenant->session->tableau(), fresh.value(),
+                    " after-invalid");
+  daemon.Stop();
+
+  const serve::DaemonStats stats = daemon.Stats();
+  EXPECT_EQ(stats.appends_invalid, invalid);
+  EXPECT_EQ(stats.appends_rejected, 0u);
+  EXPECT_EQ(stats.appends_accepted, 2u);
+  EXPECT_EQ(stats.ticks_ingested, static_cast<uint64_t>(counts.n()));
+}
+
+// A refresh sweep that must evict several tenants at once evicts the least
+// recently dispatched ones and keeps the most recent hot.
+TEST(ServeDaemon, SweepEvictsSeveralTenantsInLruOrder) {
+  serve::TenantConfig config = TestTenantConfig();
+  config.max_hot = 2;
+  serve::DaemonOptions options;
+  // Long enough that the five tenants below are usually all hot before the
+  // first sweep, which then evicts three; the outcome is the same when a
+  // sweep lands in between.
+  options.refresh_ms = 300;
+  serve::ServeDaemon daemon(config, options);
+  ASSERT_TRUE(daemon.Start().ok());
+  serve::ServeClient client;
+  ASSERT_TRUE(client.Connect(daemon.port()).ok());
+
+  const series::CountSequence counts =
+      testing_util::RandomDominatedCounts(/*seed=*/17, 16);
+  for (uint64_t id = 1; id <= 5; ++id) {
+    auto ack = client.Append(id, counts.outbound().data(),
+                             counts.inbound().data(), counts.n());
+    ASSERT_TRUE(ack.ok());
+    ASSERT_EQ(ack->status, AckStatus::kOk);
+    daemon.DrainQueues();  // dispatch order == id order
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (daemon.registry().evictions() < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  daemon.Stop();
+  EXPECT_EQ(daemon.registry().evictions(), 3);
+  EXPECT_EQ(daemon.registry().hot_count(), 2);
+  for (uint64_t id = 1; id <= 5; ++id) {
+    serve::Tenant* tenant = daemon.registry().Find(id);
+    ASSERT_NE(tenant, nullptr);
+    EXPECT_EQ(tenant->session != nullptr, id >= 4) << "tenant " << id;
+  }
 }
 
 }  // namespace

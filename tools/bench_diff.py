@@ -23,7 +23,9 @@ for the store-footprint rows) are shown; when both carry the incr block,
 amortized-speedup and warm-heap-pop deltas are shown. Measurement
 provenance (repeats / warmups, like the SIMD backend and the raw
 pruned/scanned and rebuild/dirty counters) is dropped from keys and
-comparisons.
+comparisons. Host provenance (the `provenance` object: nproc, CPU model,
+build type, compiler) is dropped too, with a warning when the two files
+were recorded on different hosts.
 
 Usage:
   tools/bench_diff.py OLD.json NEW.json [--threshold=5] [--fail-on-regress]
@@ -40,7 +42,12 @@ import json
 import sys
 
 
-def load_records(path):
+# Provenance fields that identify the measuring host (the same keys
+# perfbench/compare.py checks); the source sha may differ between files.
+HOST_KEYS = ("nproc", "cpu_model", "build_type", "compiler")
+
+
+def load_records(path, hosts):
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, list):
@@ -53,6 +60,9 @@ def load_records(path):
         # backend field: machine provenance, not part of the config.
         record.pop("metrics", None)
         record.pop("backend", None)
+        host = record.pop("provenance", None)
+        if host is not None:
+            hosts.add(tuple((k, host.get(k)) for k in HOST_KEYS))
         record.pop("repeats", None)
         record.pop("warmups", None)
         record.pop("anchors_pruned", None)
@@ -116,8 +126,14 @@ def main():
                              "threshold")
     args = parser.parse_args()
 
-    old = load_records(args.old)
-    new = load_records(args.new)
+    old_hosts, new_hosts = set(), set()
+    old = load_records(args.old, old_hosts)
+    new = load_records(args.new, new_hosts)
+    if old_hosts and new_hosts and old_hosts != new_hosts:
+        # Timings from different machines do not measure the code change.
+        print("warning: the files were recorded on different hosts:")
+        for host in sorted(old_hosts | new_hosts):
+            print("  " + ", ".join(f"{k}={v}" for k, v in host))
 
     shared = sorted(set(old) & set(new))
     only_old = sorted(set(old) - set(new))

@@ -140,8 +140,9 @@ int main(int argc, char** argv) {
                                  tenant.b.data() + tenant.sent, k);
         if (!ack.ok()) return Fail(ack.status().ToString());
         if (ack->status == serve::AckStatus::kOk) break;
-        if (ack->status == serve::AckStatus::kShuttingDown) {
-          return Fail("daemon is shutting down");
+        if (ack->status != serve::AckStatus::kBackpressure) {
+          return Fail(std::string("append refused: ") +
+                      serve::AckStatusName(ack->status));
         }
         ++rejected;
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
