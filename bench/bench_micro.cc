@@ -16,15 +16,9 @@
 // --repeats=R / --warmups=W override the best-of-R measurement counts
 // (each record carries the counts it was measured with).
 //
-// Lane-occupancy record mode: --walks_json=PATH runs the AB-opt
-// cross-anchor walk scheduler across walk widths (1 = scalar reference,
-// fixed widths, 0 = auto) and records seconds plus the walks / rounds /
-// lane-occupancy counters per width. --check_occupancy=X additionally
-// gates auto-width occupancy > X on a SIMD backend (exit 1 below; the
-// bench_smoke_walks ctest entry runs this at small n).
-//
-// Sketch-screen record mode: --sketch_json=PATH runs each generator on
-// adversarial series families with the quantized-sketch anchor screen off
+// Sketch-screen record mode: --sketch_json=PATH runs the exhaustive, AB
+// and AB-opt generators (the ones the screen covers) on adversarial series
+// families with the quantized-sketch anchor screen off
 // and on (interval/prune.h), asserts the candidate sets are bit-identical,
 // and records seconds + prune rate per (family, algorithm, mode) — plus
 // the series/store.h per-tier resident-footprint records. The repo-root
@@ -469,75 +463,6 @@ int RunKernelBench(int argc, char** argv, const std::string& json_path) {
   return 0;
 }
 
-// --- Lane-occupancy record mode (--walks_json=PATH) -----------------------
-//
-// Runs the AB-opt cross-anchor walk scheduler single-threaded across walk
-// widths and records wall clock plus the walks / rounds / lane counters.
-// Width 1 is the scalar-walk reference; the remaining rows show how lane
-// occupancy holds up as the scheduler widens, and the auto row (width 0)
-// is the production configuration. --check_occupancy=X turns the auto row
-// into a gate: occupancy must exceed X when a SIMD backend dispatched
-// (scalar dispatch has no lanes to fill and skips the gate).
-int RunWalksBench(int argc, char** argv, const std::string& json_path) {
-  const bool quick = bench::IntFlag(argc, argv, "quick", 0) != 0;
-  const int repeats = static_cast<int>(
-      bench::IntFlag(argc, argv, "repeats", quick ? 1 : 3));
-  const int warmups = static_cast<int>(
-      bench::IntFlag(argc, argv, "warmups", quick ? 0 : 1));
-  const double check_occupancy =
-      bench::DoubleFlag(argc, argv, "check_occupancy", 0.0);
-  bench::BenchJson json("walks", json_path);
-  const ii::SimdBackend dispatched = ii::ActiveSimdBackend();
-  std::printf("dispatched backend: %s\n", ii::SimdBackendName(dispatched));
-
-  const int64_t n = bench::IntFlag(argc, argv, "n", quick ? 20000 : 200000);
-  const series::CumulativeSeries cumulative(JobCounts(n));
-  const core::ConfidenceEvaluator eval(&cumulative,
-                                       core::ConfidenceModel::kBalance);
-  const auto generator =
-      interval::MakeGenerator(interval::AlgorithmKind::kAreaBasedOpt);
-
-  bool gate_failed = false;
-  for (const int width : {1, 8, 64, 0}) {
-    interval::GeneratorOptions options;
-    options.type = core::TableauType::kHold;
-    options.c_hat = 0.999;
-    options.epsilon = 0.01;
-    options.num_threads = 1;
-    options.walk_width = width;
-    interval::GeneratorStats stats;
-    const double seconds = TimeBest(repeats, warmups, [&] {
-      stats.Reset();
-      generator->Generate(eval, options, &stats);
-    });
-    json.AddWalks(n, "ab_opt", width == 0 ? "auto" : "fixed", 1, seconds,
-                  width, stats);
-    json.AnnotateTrials(repeats, warmups);
-    std::printf("walk_width=%4s: %.4fs walks=%llu rounds=%llu "
-                "occupancy=%.3f\n",
-                width == 0 ? "auto" : std::to_string(width).c_str(), seconds,
-                static_cast<unsigned long long>(stats.walks),
-                static_cast<unsigned long long>(stats.walk_rounds),
-                stats.LaneOccupancy());
-    if (width == 0 && check_occupancy > 0.0) {
-      if (dispatched == ii::SimdBackend::kScalar) {
-        std::printf("occupancy gate skipped: scalar backend dispatched\n");
-      } else if (stats.LaneOccupancy() <= check_occupancy) {
-        std::fprintf(stderr,
-                     "FAIL: auto-width lane occupancy %.3f <= %.3f\n",
-                     stats.LaneOccupancy(), check_occupancy);
-        gate_failed = true;
-      } else {
-        std::printf("occupancy gate passed: %.3f > %.3f\n",
-                    stats.LaneOccupancy(), check_occupancy);
-      }
-    }
-  }
-
-  json.Flush();
-  return gate_failed ? 1 : 0;
-}
-
 // --- Sketch-screen record mode (--sketch_json=PATH) -----------------------
 //
 // Three series families spanning the screen's effectiveness range:
@@ -590,11 +515,11 @@ int RunSketchBench(int argc, char** argv, const std::string& json_path) {
     const char* name;
     interval::AlgorithmKind kind;
   };
+  // The screen is left-anchored, so only these generators consult it.
   const Algo algos[] = {
       {"exhaustive", interval::AlgorithmKind::kExhaustive},
       {"ab", interval::AlgorithmKind::kAreaBased},
       {"ab_opt", interval::AlgorithmKind::kAreaBasedOpt},
-      {"nab", interval::AlgorithmKind::kNonAreaBased},
   };
   double best_high_prune_speedup = 0.0;
   bool gate_failed = false;
@@ -913,9 +838,6 @@ int main(int argc, char** argv) {
   const std::string kernel_json =
       conservation::bench::StringFlag(argc, argv, "kernel_json", "");
   if (!kernel_json.empty()) return RunKernelBench(argc, argv, kernel_json);
-  const std::string walks_json =
-      conservation::bench::StringFlag(argc, argv, "walks_json", "");
-  if (!walks_json.empty()) return RunWalksBench(argc, argv, walks_json);
   const std::string sketch_json =
       conservation::bench::StringFlag(argc, argv, "sketch_json", "");
   if (!sketch_json.empty()) return RunSketchBench(argc, argv, sketch_json);

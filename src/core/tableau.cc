@@ -38,10 +38,6 @@ util::Status ValidateTableauRequest(const TableauRequest& request) {
         util::StrFormat("chunks_per_thread must be >= 1, got %d",
                         request.chunks_per_thread));
   }
-  if (request.walk_width < 0) {
-    return util::Status::InvalidArgument(util::StrFormat(
-        "walk_width must be >= 0 (0 = auto), got %d", request.walk_width));
-  }
   if (request.sketch_block < 8 || request.sketch_block > (int64_t{1} << 20)) {
     return util::Status::InvalidArgument(util::StrFormat(
         "sketch_block must be in [8, 1048576], got %lld",
@@ -112,10 +108,8 @@ util::Result<Tableau> DiscoverTableau(const ConfidenceEvaluator& eval,
   gen_options.largest_first_early_exit = request.largest_first_early_exit;
   gen_options.num_threads = request.num_threads;
   gen_options.chunks_per_thread = request.chunks_per_thread;
-  gen_options.walk_width = request.walk_width;
   gen_options.sketch = request.sketch;
   gen_options.sketch_block = request.sketch_block;
-  gen_options.sketch_nab_right = request.sketch_nab_right;
 
   Tableau tableau;
   tableau.type = request.type;
@@ -130,18 +124,11 @@ util::Result<Tableau> DiscoverTableau(const ConfidenceEvaluator& eval,
                                                &tableau.generation_stats);
     phase_seconds.generate.Record(generate_timer.ElapsedSeconds());
   }
-  // Walk-scheduler observability: how many resumable walks ran, and how
-  // full the probe lanes stayed (1.0 = every lane of every round held a
-  // live walk; 0 lane slots = the scalar walk ran and the gauge is not
-  // updated).
+  // Resumable per-anchor walks the AB and NAB sweeps began
+  // (interval/walk.h).
   static obs::Counter& active_walks =
       obs::Registry::Global().Counter("generation.active_walks");
   active_walks.Add(tableau.generation_stats.walks);
-  if (tableau.generation_stats.walk_lane_slots > 0) {
-    static obs::Gauge& lane_occupancy =
-        obs::Registry::Global().Gauge("kernel.lane_occupancy");
-    lane_occupancy.Set(tableau.generation_stats.LaneOccupancy());
-  }
 
   util::Stopwatch cover_timer;
   {

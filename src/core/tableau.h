@@ -43,10 +43,7 @@ struct TableauRequest {
   // interval::GeneratorOptions::chunks_per_thread. Must be >= 1. Output is
   // identical for every setting — this only tunes load balance.
   int chunks_per_thread = 12;
-  // Concurrently resumable anchor walks per chunk in AB-opt's cross-anchor
-  // scheduler; see interval::GeneratorOptions::walk_width. 0 = auto (SIMD
-  // lane count x unroll), 1 = scalar walk. Candidates and counters are
-  // identical for every setting.
+  // No effect; kept only for perfbench/common.cc.
   int walk_width = 0;
   // Quantized-sketch anchor screen; see interval::GeneratorOptions::sketch.
   // kAuto enables the conservative pre-pass on large series (candidates are
@@ -54,9 +51,7 @@ struct TableauRequest {
   // per sketch block; must be in [8, 1 << 20].
   interval::SketchMode sketch = interval::SketchMode::kAuto;
   int64_t sketch_block = 256;
-  // NAB/NAB-opt right-anchor sketch screen; see
-  // interval::GeneratorOptions::sketch_nab_right. Off by default
-  // (DESIGN.md §4f); candidates are bit-identical either way.
+  // No effect; kept only for perfbench/common.cc.
   bool sketch_nab_right = false;
 };
 

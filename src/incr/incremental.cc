@@ -119,7 +119,6 @@ IncrementalDiscoverer::IncrementalDiscoverer(
   gen_options_.largest_first_early_exit = request.largest_first_early_exit;
   gen_options_.num_threads = 1;
   gen_options_.chunks_per_thread = request.chunks_per_thread;
-  gen_options_.walk_width = request.walk_width;
   gen_options_.sketch = interval::SketchMode::kOff;
   gen_options_.sketch_block = request.sketch_block;
   credit_fail_ = request.type == core::TableauType::kFail &&

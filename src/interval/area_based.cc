@@ -93,7 +93,7 @@ std::vector<Candidate> AreaBasedGenerator::GenerateCandidates(
   // anchors simply walk them forward from wherever the last unpruned
   // anchor left them.
   const internal::ScopedSketchScreen scoped(
-      eval, options, internal::SketchScreen::Anchor::kLeft, /*relaxed=*/true);
+      eval, options, /*relaxed=*/true);
   const internal::SketchScreen* screen = scoped.get();
 
   // Per-chunk anchor sweep. The level pointers are never-retreating within

@@ -2,8 +2,8 @@
 // (interval/kernel_simd.h).
 //
 // Detection runs once per process (CpuInfo caches it) and answers only the
-// questions the kernels ask: "may I execute AVX2 instructions?" on x86-64
-// and "may I execute Advanced SIMD instructions?" on AArch64. Everything
+// question the kernels ask: "may I execute AVX2 instructions?" on x86-64
+// (every other target runs the portable scalar backend). Everything
 // else about backend choice — what was compiled in, what the
 // CONSERVATION_SIMD build option allows — is layered on top by the
 // interval layer; this header is pure hardware capability.
@@ -16,9 +16,6 @@ namespace conservation::util {
 struct CpuFeatures {
   // x86-64: AVX2 (256-bit integer + double lanes, vector gathers).
   bool avx2 = false;
-  // AArch64: Advanced SIMD (NEON). Architecturally mandatory for AArch64,
-  // so this is true on every 64-bit ARM build.
-  bool neon = false;
 };
 
 inline CpuFeatures DetectCpuFeatures() {
@@ -28,8 +25,6 @@ inline CpuFeatures DetectCpuFeatures() {
   __builtin_cpu_init();
   features.avx2 = __builtin_cpu_supports("avx2") != 0;
 #endif
-#elif defined(__aarch64__)
-  features.neon = true;
 #endif
   return features;
 }

@@ -1,12 +1,17 @@
 // Parameterized validation of the paper's approximation guarantees
 // (Theorems 2, 3, 6, 8, 9) against the exhaustive generator on random
-// dominated integer data.
+// dominated integer data. Only applicable combinations are instantiated:
+// the area-based generators run under all three models, NAB and NAB-opt
+// under the balance model only (§V), and the early-exit check skips plain
+// AB, which has no largest-first mode.
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <tuple>
+#include <vector>
 
 #include "core/confidence.h"
 #include "interval/generator.h"
@@ -28,26 +33,23 @@ struct GuaranteeCase {
   uint64_t seed;
 };
 
-class GeneratorGuarantees
-    : public ::testing::TestWithParam<
-          std::tuple<AlgorithmKind, ConfidenceModel, TableauType, double,
-                     double, uint64_t>> {
+using Param = std::tuple<AlgorithmKind, ConfidenceModel, TableauType, double,
+                         double, uint64_t>;
+
+class GeneratorGuarantees : public ::testing::TestWithParam<Param> {
  protected:
   GuaranteeCase Case() const {
     const auto& [algorithm, model, type, c_hat, epsilon, seed] = GetParam();
     return GuaranteeCase{algorithm, model, type, c_hat, epsilon, seed};
   }
-
-  static bool Applicable(const GuaranteeCase& c) {
-    const bool non_area = c.algorithm == AlgorithmKind::kNonAreaBased ||
-                          c.algorithm == AlgorithmKind::kNonAreaBasedOpt;
-    return !non_area || c.model == ConfidenceModel::kBalance;
-  }
 };
+
+// Same parameters; a separate fixture so it is instantiated only for the
+// generators that support largest-first early exit.
+class EarlyExitGuarantees : public GeneratorGuarantees {};
 
 TEST_P(GeneratorGuarantees, NoFalsePositivesAndNoFalseNegatives) {
   const GuaranteeCase c = Case();
-  if (!Applicable(c)) GTEST_SKIP() << "NAB requires the balance model";
 
   const int64_t n = 80;
   const series::CountSequence counts =
@@ -132,12 +134,8 @@ TEST_P(GeneratorGuarantees, NoFalsePositivesAndNoFalseNegatives) {
   }
 }
 
-TEST_P(GeneratorGuarantees, EarlyExitPreservesQualifyingOutput) {
+TEST_P(EarlyExitGuarantees, EarlyExitPreservesQualifyingOutput) {
   const GuaranteeCase c = Case();
-  if (!Applicable(c)) GTEST_SKIP() << "NAB requires the balance model";
-  if (c.algorithm == AlgorithmKind::kAreaBased) {
-    GTEST_SKIP() << "plain AB does not support largest-first early exit";
-  }
 
   const series::CountSequence counts =
       testing_util::RandomDominatedCounts(c.seed + 17, 60);
@@ -165,19 +163,51 @@ TEST_P(GeneratorGuarantees, EarlyExitPreservesQualifyingOutput) {
   EXPECT_LE(early_stats.intervals_tested, full_stats.intervals_tested);
 }
 
+// Every (algorithm, model) pair given, crossed with the full type x c_hat x
+// epsilon x seed sweep.
+std::vector<Param> Sweep(std::initializer_list<AlgorithmKind> algorithms,
+                         std::initializer_list<ConfidenceModel> models) {
+  std::vector<Param> params;
+  for (const AlgorithmKind algorithm : algorithms) {
+    for (const ConfidenceModel model : models) {
+      for (const TableauType type : {TableauType::kHold, TableauType::kFail}) {
+        for (const double c_hat : {0.3, 0.7, 0.95}) {
+          for (const double epsilon : {0.01, 0.2, 1.0}) {
+            for (const uint64_t seed : {11u, 29u}) {
+              params.emplace_back(algorithm, model, type, c_hat, epsilon,
+                                  seed);
+            }
+          }
+        }
+      }
+    }
+  }
+  return params;
+}
+
+constexpr std::initializer_list<ConfidenceModel> kAllModels = {
+    ConfidenceModel::kBalance, ConfidenceModel::kCredit,
+    ConfidenceModel::kDebit};
+
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, GeneratorGuarantees,
-    ::testing::Combine(
-        ::testing::Values(AlgorithmKind::kAreaBased,
-                          AlgorithmKind::kAreaBasedOpt,
-                          AlgorithmKind::kNonAreaBased,
-                          AlgorithmKind::kNonAreaBasedOpt),
-        ::testing::Values(ConfidenceModel::kBalance, ConfidenceModel::kCredit,
-                          ConfidenceModel::kDebit),
-        ::testing::Values(core::TableauType::kHold, core::TableauType::kFail),
-        ::testing::Values(0.3, 0.7, 0.95),  // c_hat
-        ::testing::Values(0.01, 0.2, 1.0),  // epsilon
-        ::testing::Values(11u, 29u)));      // seed
+    AreaBased, GeneratorGuarantees,
+    ::testing::ValuesIn(Sweep({AlgorithmKind::kAreaBased,
+                               AlgorithmKind::kAreaBasedOpt},
+                              kAllModels)));
+INSTANTIATE_TEST_SUITE_P(
+    NonAreaBased, GeneratorGuarantees,
+    ::testing::ValuesIn(Sweep({AlgorithmKind::kNonAreaBased,
+                               AlgorithmKind::kNonAreaBasedOpt},
+                              {ConfidenceModel::kBalance})));
+
+INSTANTIATE_TEST_SUITE_P(
+    AreaBasedOpt, EarlyExitGuarantees,
+    ::testing::ValuesIn(Sweep({AlgorithmKind::kAreaBasedOpt}, kAllModels)));
+INSTANTIATE_TEST_SUITE_P(
+    NonAreaBased, EarlyExitGuarantees,
+    ::testing::ValuesIn(Sweep({AlgorithmKind::kNonAreaBased,
+                               AlgorithmKind::kNonAreaBasedOpt},
+                              {ConfidenceModel::kBalance})));
 
 }  // namespace
 }  // namespace conservation::interval

@@ -53,7 +53,7 @@ class BackendGuard {
 };
 
 // Backends exercised on this machine: the portable scalar reference plus
-// whatever the runtime dispatch selected (avx2 / neon / scalar). Forcing a
+// whatever the runtime dispatch selected (avx2 / scalar). Forcing a
 // backend the CPU cannot execute would fault, so only the dispatched one
 // is added.
 std::vector<SimdBackend> TestableBackends() {

@@ -22,6 +22,7 @@
 #include "series/preprocess.h"
 #include "series/sequence.h"
 #include "tests/test_data.h"
+#include "util/random.h"
 
 namespace conservation {
 namespace {
@@ -192,6 +193,345 @@ TEST(Protocol, MalformedBodiesAreViolations) {
   EXPECT_FALSE(reader2.Next(&frame));
   EXPECT_TRUE(reader2.failed());
   EXPECT_NE(reader2.error().find("unknown frame type"), std::string::npos);
+}
+
+// --- FrameReader mutation test ---------------------------------------------
+//
+// Deterministic, seeded mutations of a valid encoded stream — truncation at
+// every byte, zero / oversized / off-by-one lengths, flipped type, status
+// and tick-count bytes, random byte corruption — each decoded under three
+// delivery plans (whole buffer, byte at a time, random chunks). Every run
+// must satisfy the reader's contract:
+//   - no frame is decoded that is not literally in the input: each decoded
+//     frame re-encodes to exactly the bytes at its stream offset;
+//   - every frame wholly before the first mutated byte decodes bit-exactly
+//     to the frame that was encoded there;
+//   - a poisoned reader stays poisoned (further bytes decode nothing);
+//   - the outcome does not depend on how the bytes were delivered.
+// Crashes and out-of-bounds reads surface directly (and under the asan_serve
+// ctest configuration).
+
+// One encoded frame of the reference stream.
+struct EncodedFrame {
+  size_t offset = 0;
+  std::string bytes;
+};
+
+// Re-encodes a decoded frame with the public encoders.
+std::string Reencode(const Frame& frame) {
+  std::string out;
+  switch (frame.type) {
+    case FrameType::kAppend:
+      serve::EncodeAppend(frame.append.tenant_id, frame.append.a.data(),
+                          frame.append.b.data(),
+                          static_cast<int64_t>(frame.append.a.size()), &out);
+      break;
+    case FrameType::kAck:
+      serve::EncodeAck(frame.ack, &out);
+      break;
+    case FrameType::kPing:
+      serve::EncodePing(&out);
+      break;
+    case FrameType::kStats:
+      serve::EncodeStatsRequest(&out);
+      break;
+    case FrameType::kStatsReply:
+      serve::EncodeStatsReply(frame.stats, &out);
+      break;
+  }
+  return out;
+}
+
+// A stream holding every frame type, with appends of several sizes and
+// count bit patterns a float round trip could lose (-0.0, a NaN payload,
+// denormals, infinities).
+std::vector<EncodedFrame> ReferenceFrames(util::Rng* rng) {
+  std::vector<EncodedFrame> frames;
+  std::string wire;
+  auto close = [&](size_t begin) {
+    frames.push_back(EncodedFrame{begin, wire.substr(begin)});
+  };
+  for (int round = 0; round < 2; ++round) {
+    for (const int64_t m : {1, 3, 8}) {
+      std::vector<double> a(static_cast<size_t>(m));
+      std::vector<double> b(static_cast<size_t>(m));
+      for (int64_t k = 0; k < m; ++k) {
+        a[static_cast<size_t>(k)] = rng->Uniform(0.0, 100.0);
+        b[static_cast<size_t>(k)] = rng->Uniform(0.0, 100.0);
+      }
+      a[0] = round == 0 ? -0.0 : std::numeric_limits<double>::denorm_min();
+      if (m > 1) {
+        uint64_t nan_bits = 0x7ff8000000001234ULL;
+        std::memcpy(&b[1], &nan_bits, sizeof(double));
+        a[1] = std::numeric_limits<double>::infinity();
+      }
+      const size_t begin = wire.size();
+      serve::EncodeAppend(static_cast<uint64_t>(rng->UniformInt(0, 1 << 30)),
+                          a.data(), b.data(), m, &wire);
+      close(begin);
+    }
+    for (const AckStatus status :
+         {AckStatus::kOk, AckStatus::kBackpressure, AckStatus::kShuttingDown,
+          AckStatus::kInvalid}) {
+      AckFrame ack;
+      ack.tenant_id = static_cast<uint64_t>(rng->UniformInt(0, 1 << 30));
+      ack.status = status;
+      ack.accepted_ticks = static_cast<uint32_t>(rng->UniformInt(0, 64));
+      ack.queued_ticks = static_cast<uint64_t>(rng->UniformInt(0, 1 << 20));
+      const size_t begin = wire.size();
+      serve::EncodeAck(ack, &wire);
+      close(begin);
+    }
+    size_t begin = wire.size();
+    serve::EncodePing(&wire);
+    close(begin);
+    begin = wire.size();
+    serve::EncodeStatsRequest(&wire);
+    close(begin);
+    serve::StatsReplyFrame stats;
+    stats.tenants = 3;
+    stats.ticks_ingested = 0xfedcba9876543210ULL;
+    stats.ticks_processed = 12345;
+    stats.batches_rejected = 6;
+    begin = wire.size();
+    serve::EncodeStatsReply(stats, &wire);
+    close(begin);
+  }
+  return frames;
+}
+
+std::string Concat(const std::vector<EncodedFrame>& frames) {
+  std::string wire;
+  for (const EncodedFrame& f : frames) wire += f.bytes;
+  return wire;
+}
+
+enum class Delivery { kWhole, kByteAtATime, kRandomChunks };
+
+struct DecodeResult {
+  std::vector<std::string> frames;  // re-encoded, in decode order
+  bool failed = false;
+  std::string error;
+  size_t buffered = 0;
+};
+
+// Feeds `wire` per `delivery`, draining Next after every feed, and checks
+// that every decoded frame re-encodes to the bytes at its offset and that
+// a failure is sticky.
+DecodeResult Decode(const std::string& wire, Delivery delivery,
+                    uint64_t chunk_seed) {
+  FrameReader reader;
+  DecodeResult result;
+  util::Rng rng(chunk_seed);
+  size_t offset = 0;  // stream offset of the next decoded frame
+  Frame frame;
+  size_t pos = 0;
+  while (pos < wire.size()) {
+    size_t len = wire.size() - pos;
+    if (delivery == Delivery::kByteAtATime) len = 1;
+    if (delivery == Delivery::kRandomChunks) {
+      len = std::min<size_t>(len, static_cast<size_t>(rng.UniformInt(1, 40)));
+    }
+    reader.Feed(wire.data() + pos, len);
+    pos += len;
+    while (reader.Next(&frame)) {
+      std::string bytes = Reencode(frame);
+      EXPECT_LE(offset + bytes.size(), pos) << "frame decoded past the feed";
+      EXPECT_EQ(wire.compare(offset, bytes.size(), bytes), 0)
+          << "decoded a frame not present at offset " << offset;
+      offset += bytes.size();
+      result.frames.push_back(std::move(bytes));
+    }
+    if (reader.failed()) break;
+  }
+  result.failed = reader.failed();
+  result.error = reader.error();
+  result.buffered = reader.buffered();
+  if (result.failed) {
+    // Sticky: the rest of the stream plus a fresh valid frame decode
+    // nothing and leave the reader poisoned.
+    std::string tail = wire.substr(pos);
+    serve::EncodePing(&tail);
+    reader.Feed(tail.data(), tail.size());
+    EXPECT_FALSE(reader.Next(&frame));
+    EXPECT_TRUE(reader.failed());
+    EXPECT_EQ(reader.buffered(), 0u);
+  } else {
+    EXPECT_EQ(result.buffered, wire.size() - offset);
+  }
+  return result;
+}
+
+// Decodes `wire` under every delivery plan, requires identical outcomes,
+// and requires the frames wholly before `first_mutated` to decode exactly
+// as encoded. Returns the whole-buffer result.
+DecodeResult DecodeAllWays(const std::string& wire,
+                           const std::vector<EncodedFrame>& reference,
+                           size_t first_mutated, uint64_t seed) {
+  const DecodeResult whole = Decode(wire, Delivery::kWhole, seed);
+  for (const Delivery delivery :
+       {Delivery::kByteAtATime, Delivery::kRandomChunks}) {
+    const DecodeResult other = Decode(wire, delivery, seed);
+    EXPECT_EQ(other.frames, whole.frames);
+    EXPECT_EQ(other.failed, whole.failed);
+    EXPECT_EQ(other.error, whole.error);
+    EXPECT_EQ(other.buffered, whole.buffered);
+  }
+  size_t intact = 0;
+  while (intact < reference.size() &&
+         reference[intact].offset + reference[intact].bytes.size() <=
+             first_mutated) {
+    ++intact;
+  }
+  EXPECT_GE(whole.frames.size(), intact);
+  for (size_t k = 0; k < std::min(intact, whole.frames.size()); ++k) {
+    EXPECT_EQ(whole.frames[k], reference[k].bytes) << "frame " << k;
+  }
+  return whole;
+}
+
+void PutLength(uint32_t len, std::string* wire, size_t at) {
+  for (int k = 0; k < 4; ++k) {
+    (*wire)[at + static_cast<size_t>(k)] =
+        static_cast<char>((len >> (8 * k)) & 0xff);
+  }
+}
+
+TEST(Protocol, MutatedStreamsNeverDecodeForeignFrames) {
+  util::Rng rng(20121);
+  const std::vector<EncodedFrame> reference = ReferenceFrames(&rng);
+  const std::string wire = Concat(reference);
+  uint64_t seed = 1;
+
+  // The intact stream, under every delivery plan.
+  {
+    SCOPED_TRACE("intact");
+    const DecodeResult r = DecodeAllWays(wire, reference, wire.size(), seed++);
+    EXPECT_FALSE(r.failed);
+    EXPECT_EQ(r.frames.size(), reference.size());
+  }
+
+  // Truncation at every byte: frames wholly inside the prefix decode, the
+  // partial one waits for more bytes, nothing fails.
+  for (size_t cut = 0; cut <= wire.size(); ++cut) {
+    SCOPED_TRACE("truncate at " + std::to_string(cut));
+    const DecodeResult r =
+        DecodeAllWays(wire.substr(0, cut), reference, cut, seed++);
+    EXPECT_FALSE(r.failed);
+    size_t whole_frames = 0;
+    while (whole_frames < reference.size() &&
+           reference[whole_frames].offset +
+                   reference[whole_frames].bytes.size() <=
+               cut) {
+      ++whole_frames;
+    }
+    EXPECT_EQ(r.frames.size(), whole_frames);
+  }
+
+  for (size_t f = 0; f < reference.size(); ++f) {
+    const EncodedFrame& target = reference[f];
+    const uint32_t payload = static_cast<uint32_t>(target.bytes.size() - 4);
+    const bool last = f + 1 == reference.size();
+
+    // Zero and oversized lengths poison the reader at this frame.
+    for (const uint32_t len :
+         {uint32_t{0}, serve::kMaxFramePayload + 1, uint32_t{0xffffffff}}) {
+      SCOPED_TRACE("frame " + std::to_string(f) + " length " +
+                   std::to_string(len));
+      std::string mutated = wire;
+      PutLength(len, &mutated, target.offset);
+      const DecodeResult r =
+          DecodeAllWays(mutated, reference, target.offset, seed++);
+      EXPECT_TRUE(r.failed);
+      EXPECT_EQ(r.frames.size(), f);
+    }
+    // Off-by-one lengths never decode the frame: every body size is exact.
+    // Only the last frame, one byte long, is merely incomplete.
+    for (const int delta : {-1, 1}) {
+      SCOPED_TRACE("frame " + std::to_string(f) + " length off by " +
+                   std::to_string(delta));
+      std::string mutated = wire;
+      PutLength(static_cast<uint32_t>(static_cast<int64_t>(payload) + delta),
+                &mutated, target.offset);
+      const DecodeResult r =
+          DecodeAllWays(mutated, reference, target.offset, seed++);
+      EXPECT_EQ(r.frames.size(), f);
+      EXPECT_EQ(r.failed, !(last && delta == 1));
+    }
+
+    // Every single-bit flip of the type byte: an unknown type poisons; a
+    // known one decodes only as the frame the mutated bytes spell.
+    const size_t type_at = target.offset + 4;
+    const uint8_t type = static_cast<uint8_t>(wire[type_at]);
+    for (int bit = 0; bit < 8; ++bit) {
+      SCOPED_TRACE("frame " + std::to_string(f) + " type bit " +
+                   std::to_string(bit));
+      std::string mutated = wire;
+      const uint8_t flipped = static_cast<uint8_t>(type ^ (1u << bit));
+      mutated[type_at] = static_cast<char>(flipped);
+      const DecodeResult r = DecodeAllWays(mutated, reference, type_at, seed++);
+      if (flipped < 1 || flipped > 5) {
+        EXPECT_TRUE(r.failed);
+        EXPECT_EQ(r.frames.size(), f);
+      }
+    }
+
+    if (type == static_cast<uint8_t>(FrameType::kAck)) {
+      // Status byte: past the last defined status poisons.
+      const size_t status_at = type_at + 1 + 8;
+      const uint8_t status = static_cast<uint8_t>(wire[status_at]);
+      for (int bit = 0; bit < 8; ++bit) {
+        SCOPED_TRACE("frame " + std::to_string(f) + " status bit " +
+                     std::to_string(bit));
+        std::string mutated = wire;
+        const uint8_t flipped = static_cast<uint8_t>(status ^ (1u << bit));
+        mutated[status_at] = static_cast<char>(flipped);
+        const DecodeResult r =
+            DecodeAllWays(mutated, reference, status_at, seed++);
+        const bool valid = flipped <= static_cast<uint8_t>(AckStatus::kInvalid);
+        EXPECT_EQ(r.failed, !valid);
+        EXPECT_EQ(r.frames.size(), valid ? reference.size() : f);
+      }
+    }
+
+    if (type == static_cast<uint8_t>(FrameType::kAppend)) {
+      // Tick count m: any other value disagrees with the body size (or is
+      // out of range), so every single-bit flip poisons at this frame.
+      const size_t m_at = type_at + 1 + 8;
+      for (int bit = 0; bit < 32; ++bit) {
+        SCOPED_TRACE("frame " + std::to_string(f) + " m bit " +
+                     std::to_string(bit));
+        std::string mutated = wire;
+        const size_t byte_at = m_at + static_cast<size_t>(bit / 8);
+        mutated[byte_at] =
+            static_cast<char>(static_cast<uint8_t>(mutated[byte_at]) ^
+                              (1u << (bit % 8)));
+        const DecodeResult r =
+            DecodeAllWays(mutated, reference, byte_at, seed++);
+        EXPECT_TRUE(r.failed);
+        EXPECT_EQ(r.frames.size(), f);
+      }
+    }
+  }
+
+  // Random corruption: 1-4 bytes overwritten anywhere, then truncated at a
+  // random point; only the generic contract is asserted.
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE("random trial " + std::to_string(trial));
+    std::string mutated = wire;
+    size_t first = mutated.size();
+    const int64_t writes = rng.UniformInt(1, 4);
+    for (int64_t w = 0; w < writes; ++w) {
+      const size_t at = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(mutated.size()) - 1));
+      mutated[at] = static_cast<char>(rng.UniformInt(0, 255));
+      first = std::min(first, at);
+    }
+    const size_t cut = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(mutated.size())));
+    mutated.resize(cut);
+    DecodeAllWays(mutated, reference, std::min(first, cut), seed++);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 // (interval/prune.h): with the screen on, every generator must emit a
 // candidate set bit-identical to its unscreened run — on every model ×
 // tableau-type × epsilon × series-family combination, at every thread
-// count and walk width, on every SIMD backend — because the screen only
+// count, on every SIMD backend — because the screen only
 // skips anchors whose per-anchor optimum is provably empty. The suite
 // also checks the screen's soundness invariant directly (every emitted
 // candidate's anchor must survive MayEmit), the prune-counter extremes
@@ -48,7 +48,6 @@ using interval::internal::ScopedSketchScreen;
 using interval::internal::SetSimdBackendForTest;
 using interval::internal::SimdBackend;
 using interval::internal::SimdBackendName;
-using interval::internal::SketchScreen;
 using interval::internal::SketchScreenEnabled;
 using series::SeriesSketch;
 
@@ -209,18 +208,6 @@ TEST_P(SketchPruneDifferential, CandidatesIdenticalAcrossEverything) {
             // backend.
             EXPECT_EQ(stats.anchors_pruned, seq_stats.anchors_pruned);
           }
-          if (kind == AlgorithmKind::kAreaBasedOpt) {
-            options.num_threads = 1;
-            for (const int width : {1, 7}) {
-              options.walk_width = width;
-              GeneratorStats stats;
-              const std::vector<Candidate> screened =
-                  generator->GenerateCandidates(eval, options, &stats);
-              ExpectSameCandidates(screened, baseline);
-              EXPECT_EQ(stats.anchors_pruned, seq_stats.anchors_pruned);
-            }
-            options.walk_width = 0;
-          }
           SetSimdBackendForTest(SimdBackend::kScalar);
         }
         options.num_threads = 1;
@@ -291,8 +278,8 @@ TEST_P(SketchScreenSoundness, EmittedAnchorsSurviveTheScreen) {
     options.sketch = SketchMode::kOff;
     SCOPED_TRACE(std::string("model=") + ConfidenceModelName(model));
 
-    // Left screens: relaxed (AB family) against the AB run, exact against
-    // the exhaustive run.
+    // Relaxed (AB family) against the AB run, exact against the exhaustive
+    // run.
     for (const bool relaxed : {true, false}) {
       const auto generator = interval::MakeGenerator(
           relaxed ? AlgorithmKind::kAreaBased : AlgorithmKind::kExhaustive);
@@ -300,32 +287,12 @@ TEST_P(SketchScreenSoundness, EmittedAnchorsSurviveTheScreen) {
           generator->GenerateCandidates(eval, options, nullptr);
       GeneratorOptions screen_options = options;
       screen_options.sketch = SketchMode::kAuto;
-      const ScopedSketchScreen scoped(eval, screen_options,
-                                      SketchScreen::Anchor::kLeft, relaxed);
+      const ScopedSketchScreen scoped(eval, screen_options, relaxed);
       ASSERT_NE(scoped.get(), nullptr);
       uint64_t blocks = 0;
       for (const Candidate& c : baseline) {
         EXPECT_TRUE(scoped.get()->MayEmit(c.interval.begin, &blocks))
             << "relaxed=" << relaxed << " " << c.interval.ToString();
-      }
-    }
-
-    // Right screen (balance only) against the NAB run.
-    if (model == ConfidenceModel::kBalance) {
-      const auto generator =
-          interval::MakeGenerator(AlgorithmKind::kNonAreaBased);
-      const std::vector<Candidate> baseline =
-          generator->GenerateCandidates(eval, options, nullptr);
-      GeneratorOptions screen_options = options;
-      screen_options.sketch = SketchMode::kAuto;
-      const ScopedSketchScreen scoped(eval, screen_options,
-                                      SketchScreen::Anchor::kRight,
-                                      /*relaxed=*/true);
-      ASSERT_NE(scoped.get(), nullptr);
-      uint64_t blocks = 0;
-      for (const Candidate& c : baseline) {
-        EXPECT_TRUE(scoped.get()->MayEmitRight(c.interval.end, &blocks))
-            << c.interval.ToString();
       }
     }
   }

@@ -2,15 +2,13 @@
 // (interval/walk.h). The states are plain copyable values, so a checkpoint
 // is a struct copy (plus, for AB, the chunk's shared pointer vector) and a
 // resume is continuing the copy. Every test interrupts a walk at an
-// adversarial boundary — each probe of an in-flight binary search, each
-// level of an AB sweep, each reverse block of a NAB sweep, chunk edges via
-// chunks_per_thread, sub-lane tails via odd walk widths — and asserts the
-// resumed walk reproduces the uninterrupted one bitwise: same candidates,
-// same confidences, same counters.
+// adversarial boundary — each level of an AB sweep, each reverse block of a
+// NAB sweep, chunk edges via chunks_per_thread — and asserts the resumed
+// walk reproduces the uninterrupted one bitwise: same candidates, same
+// confidences, same counters.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -47,137 +45,11 @@ const series::CumulativeSeries& JobSeries(int64_t n) {
   return *built;
 }
 
-// --- AB-opt walk state ------------------------------------------------------
-
-struct AbOptFixture {
-  const series::CumulativeSeries& cumulative;
-  ConfidenceEvaluator eval;
-  GeneratorOptions options;
-  ii::ConfidenceKernel kernel;
-  double delta;
-  ii::AbOptWalkContext ctx;
-
-  explicit AbOptFixture(int64_t n,
-                        ConfidenceModel model = ConfidenceModel::kBalance,
-                        TableauType type = TableauType::kHold)
-      : cumulative(JobSeries(n)),
-        eval(&cumulative, model),
-        options(),
-        kernel(eval, type),
-        delta(0.0) {
-    options.type = type;
-    options.c_hat = 0.999;
-    options.epsilon = 0.01;
-    delta = interval::ResolveDelta(eval.series(), options);
-    ctx.n = n;
-    ctx.delta = delta;
-    ctx.growth = 1.0 + options.epsilon;
-    ctx.credit_fail =
-        type == TableauType::kFail && model == ConfidenceModel::kCredit;
-    ctx.zero_prefix_lengths = &zero_prefix_lengths;
-    if (ctx.credit_fail) {
-      double power = 1.0;
-      while (static_cast<int64_t>(power) < n) {
-        zero_prefix_lengths.push_back(static_cast<int64_t>(power));
-        power *= ctx.growth;
-      }
-      zero_prefix_lengths.push_back(n);
-    }
-    ctx.sp = kernel.sp();
-  }
-
-  std::vector<int64_t> zero_prefix_lengths;
-};
-
-// Runs anchor i's walk to completion with scalar Advance stepping.
-std::vector<int64_t> ReferenceBreakpoints(AbOptFixture& fix, int64_t i,
-                                          uint64_t* probes = nullptr) {
-  fix.kernel.BeginAnchor(i);
-  ii::AbOptWalkState walk;
-  walk.Begin(i, fix.ctx);
-  while (!walk.done()) {
-    walk.Advance(fix.kernel.SparseArea(walk.probe_j()), fix.ctx);
-  }
-  if (probes != nullptr) *probes = walk.probes();
-  return walk.breakpoints();
-}
-
-// Checkpointing the Advance-stepped walk after every probe ordinal and
-// resuming the copy must reproduce the uninterrupted breakpoint list and
-// probe count exactly.
-TEST(AbOptWalkResume, EveryProbeOrdinal) {
-  AbOptFixture fix(700);
-  for (const int64_t anchor : {1L, 2L, 137L, 350L, 699L, 700L}) {
-    uint64_t ref_probes = 0;
-    const std::vector<int64_t> reference =
-        ReferenceBreakpoints(fix, anchor, &ref_probes);
-    ASSERT_GT(ref_probes, 0u);
-    for (uint64_t cut = 0; cut <= ref_probes; ++cut) {
-      fix.kernel.BeginAnchor(anchor);
-      ii::AbOptWalkState walk;
-      walk.Begin(anchor, fix.ctx);
-      for (uint64_t p = 0; p < cut && !walk.done(); ++p) {
-        walk.Advance(fix.kernel.SparseArea(walk.probe_j()), fix.ctx);
-      }
-      ii::AbOptWalkState resumed = walk;  // checkpoint: plain value copy
-      while (!resumed.done()) {
-        resumed.Advance(fix.kernel.SparseArea(resumed.probe_j()), fix.ctx);
-      }
-      ASSERT_EQ(resumed.breakpoints(), reference)
-          << "anchor " << anchor << " cut " << cut;
-      ASSERT_EQ(resumed.probes(), ref_probes);
-    }
-  }
-}
-
-// The lane-stepped form (StoreRegs / SparseWalkRound / CompleteSearch) must
-// visit the identical probe sequence as the Advance form — including with a
-// mid-walk checkpoint of state + lane registers at every round boundary.
-TEST(AbOptWalkResume, LaneFormMatchesAdvanceForm) {
-  AbOptFixture fix(700);
-  for (const int64_t anchor : {1L, 42L, 350L, 700L}) {
-    const std::vector<int64_t> reference = ReferenceBreakpoints(fix, anchor);
-
-    fix.kernel.BeginAnchor(anchor);
-    ii::WalkLaneBuffers lanes(1);
-    ii::AbOptWalkState walk;
-    walk.Begin(anchor, fix.ctx);
-    lanes.i[0] = anchor;
-    lanes.sp_prev[0] = fix.kernel.sp_prev();
-    lanes.h_sp[0] = fix.kernel.h_sp();
-    walk.StoreRegs(&lanes, 0);
-
-    int round = 0;
-    bool retired = false;
-    while (!retired) {
-      ++round;
-      const uint64_t mask = fix.kernel.SparseWalkRound(lanes.RoundArgs(), 1);
-      if ((mask & 1) == 0) continue;
-      // Checkpoint at this search-completion boundary: copy the state and
-      // the lane registers, resume the copy to completion, and require the
-      // reference breakpoints.
-      ii::AbOptWalkState checkpoint = walk;
-      ii::WalkLaneBuffers lane_copy = lanes;
-      bool copy_retired = checkpoint.CompleteSearch(&lane_copy, 0, fix.ctx);
-      while (!copy_retired) {
-        const uint64_t m =
-            fix.kernel.SparseWalkRound(lane_copy.RoundArgs(), 1);
-        if ((m & 1) != 0) {
-          copy_retired = checkpoint.CompleteSearch(&lane_copy, 0, fix.ctx);
-        }
-      }
-      ASSERT_EQ(checkpoint.breakpoints(), reference)
-          << "anchor " << anchor << " checkpoint round " << round;
-      retired = walk.CompleteSearch(&lanes, 0, fix.ctx);
-    }
-    ASSERT_EQ(walk.breakpoints(), reference) << "anchor " << anchor;
-  }
-}
+// --- AB-opt chunking ---------------------------------------------------------
 
 // Full-generator differential: AB-opt candidates and counters are
-// bit-identical across walk widths (odd widths exercise the SIMD round's
-// sub-lane scalar tail, widths > 64 the bank split), thread counts, and
-// chunk granularities (chunk edges move walk retirement boundaries).
+// bit-identical across thread counts and chunk granularities (chunk edges
+// move where each worker's anchor loop starts and stops).
 TEST(AbOptWalkResume, WidthThreadChunkDifferential) {
   const int64_t n = 3000;
   const series::CumulativeSeries& cumulative = JobSeries(n);
@@ -189,40 +61,32 @@ TEST(AbOptWalkResume, WidthThreadChunkDifferential) {
   options.type = TableauType::kHold;
   options.c_hat = 0.999;
   options.epsilon = 0.01;
-  options.walk_width = 1;  // scalar reference walk
   interval::GeneratorStats ref_stats;
   const std::vector<Candidate> reference =
       generator->GenerateCandidates(eval, options, &ref_stats);
   ASSERT_GT(ref_stats.intervals_tested, 0u);
 
-  for (const int width : {2, 3, 5, 16, 64, 128, 256}) {
-    for (const int threads : {1, 3}) {
-      for (const int chunks_per_thread : {1, 7}) {
-        GeneratorOptions run = options;
-        run.walk_width = width;
-        run.num_threads = threads;
-        run.chunks_per_thread = chunks_per_thread;
-        interval::GeneratorStats stats;
-        const std::vector<Candidate> got =
-            generator->GenerateCandidates(eval, run, &stats);
-        ASSERT_EQ(got.size(), reference.size())
-            << "width " << width << " threads " << threads;
-        for (size_t k = 0; k < got.size(); ++k) {
-          ASSERT_EQ(got[k].interval.begin, reference[k].interval.begin);
-          ASSERT_EQ(got[k].interval.end, reference[k].interval.end);
-          // Bitwise: the walk must reproduce the scalar arithmetic exactly.
-          ASSERT_EQ(got[k].confidence, reference[k].confidence)
-              << "width " << width << " threads " << threads << " row " << k;
-        }
-        ASSERT_EQ(stats.intervals_tested, ref_stats.intervals_tested)
-            << "width " << width;
-        ASSERT_EQ(stats.endpoint_steps, ref_stats.endpoint_steps)
-            << "width " << width;
-        if (width > 1 &&
-            ii::ActiveSimdBackend() != ii::SimdBackend::kScalar) {
-          EXPECT_GT(stats.walks, 0u) << "width " << width;
-        }
+  for (const int threads : {1, 3}) {
+    for (const int chunks_per_thread : {1, 7}) {
+      GeneratorOptions run = options;
+      run.num_threads = threads;
+      run.chunks_per_thread = chunks_per_thread;
+      interval::GeneratorStats stats;
+      const std::vector<Candidate> got =
+          generator->GenerateCandidates(eval, run, &stats);
+      ASSERT_EQ(got.size(), reference.size())
+          << "threads " << threads << " chunks " << chunks_per_thread;
+      for (size_t k = 0; k < got.size(); ++k) {
+        ASSERT_EQ(got[k].interval.begin, reference[k].interval.begin);
+        ASSERT_EQ(got[k].interval.end, reference[k].interval.end);
+        // Bitwise: every chunking must reproduce the arithmetic exactly.
+        ASSERT_EQ(got[k].confidence, reference[k].confidence)
+            << "threads " << threads << " row " << k;
       }
+      ASSERT_EQ(stats.intervals_tested, ref_stats.intervals_tested)
+          << "threads " << threads << " chunks " << chunks_per_thread;
+      ASSERT_EQ(stats.endpoint_steps, ref_stats.endpoint_steps)
+          << "threads " << threads << " chunks " << chunks_per_thread;
     }
   }
 }
@@ -382,102 +246,236 @@ TEST(NabWalkResume, EveryBlockBoundary) {
 // stays the prefix (ctx.n = n1, fixed at Begin); Append extends every
 // derived array with bitwise-identical prefix values but reallocates, so
 // the resume must run against a REBUILT kernel (kernel.h caches raw
-// pointers). Checkpoints at every probe ordinal, including 0 (the whole
+// pointers). Checkpoints at every level boundary, including 0 (the whole
 // walk runs post-append).
-TEST(AbOptWalkResume, CrossBatchAppendBoundary) {
+TEST(AbWalkResume, CrossBatchAppendBoundary) {
   const int64_t n1 = 400;
   const int64_t n2 = 700;
   datagen::JobLogParams params;
   params.num_ticks = n2;
   const series::CountSequence counts = datagen::GenerateJobLog(params).counts;
 
-  // Reference context + walks over the prefix-only series (same data the
-  // growable series starts from, NOT a regenerated shorter trace).
+  // Reference walks over the prefix-only series (same data the growable
+  // series starts from, not a regenerated shorter trace).
   const series::CumulativeSeries prefix_series(counts.Prefix(n1));
-  const core::ConfidenceEvaluator prefix_eval(&prefix_series,
-                                              ConfidenceModel::kBalance);
+  const ConfidenceEvaluator prefix_eval(&prefix_series,
+                                        ConfidenceModel::kBalance);
   GeneratorOptions options;
   options.type = TableauType::kHold;
   options.c_hat = 0.999;
   options.epsilon = 0.01;
+  const double delta = interval::ResolveDelta(prefix_eval.series(), options);
+  const double growth = 1.0 + options.epsilon;
+  const double max_area = prefix_eval.series().SumB(1, n1);
+  std::vector<double> thresholds;
+  const int64_t num_levels =
+      max_area > delta
+          ? static_cast<int64_t>(
+                std::ceil(std::log(max_area / delta) / std::log(growth))) + 1
+          : 0;
+  double t_value = delta;
+  for (int64_t l = 0; l <= num_levels; ++l) {
+    thresholds.push_back(t_value);
+    t_value *= growth;
+  }
   const std::vector<int64_t> no_zero_prefix;
-  ii::AbOptWalkContext ctx;
+  ii::AbWalkContext ctx;
   ctx.n = n1;
-  ctx.delta = interval::ResolveDelta(prefix_eval.series(), options);
-  ctx.growth = 1.0 + options.epsilon;
-  ctx.credit_fail = false;
+  ctx.delta = delta;
+  ctx.growth = growth;
+  ctx.thresholds = &thresholds;
+  ctx.options = &options;
   ctx.zero_prefix_lengths = &no_zero_prefix;
   const std::vector<double>& tail_a = counts.outbound();
   const std::vector<double>& tail_b = counts.inbound();
 
   for (const int64_t anchor : {1L, 137L, 399L, 400L}) {
-    uint64_t ref_probes = 0;
-    std::vector<int64_t> reference;
+    std::vector<int64_t> ref_pointer(thresholds.size(), 0);
+    ctx.pointer = &ref_pointer;
+    ii::AbWalkScratch scratch;
+    ii::WalkStepCounters ref_counters;
+    ii::AbWalkState reference;
+    int total_steps = 0;
     {
-      ii::ConfidenceKernel kernel(prefix_eval, TableauType::kHold);
-      ctx.sp = kernel.sp();
+      ii::ConfidenceKernel kernel(prefix_eval, options.type);
       kernel.BeginAnchor(anchor);
-      ii::AbOptWalkState ref_walk;
-      ref_walk.Begin(anchor, ctx);
-      while (!ref_walk.done()) {
-        ref_walk.Advance(kernel.SparseArea(ref_walk.probe_j()), ctx);
+      reference.Begin(anchor, kernel, ctx);
+      while (!reference.done()) {
+        reference.Step(kernel, ctx, &scratch, &ref_counters);
+        ++total_steps;
       }
-      ref_probes = ref_walk.probes();
-      reference = ref_walk.breakpoints();
     }
-    ASSERT_GT(ref_probes, 0u);
+    ASSERT_GT(total_steps, 0);
 
-    for (uint64_t cut = 0; cut <= ref_probes; ++cut) {
-      // Fresh growable series per checkpoint: walk `cut` probes pre-append.
+    for (int cut = 0; cut <= total_steps; ++cut) {
+      // Fresh growable series per checkpoint: walk `cut` steps pre-append.
       series::CumulativeSeries growing(counts.Prefix(n1));
-      core::ConfidenceEvaluator eval(&growing, ConfidenceModel::kBalance);
-      ii::AbOptWalkState walk;
+      const ConfidenceEvaluator eval(&growing, ConfidenceModel::kBalance);
+      std::vector<int64_t> pointer(thresholds.size(), 0);
+      ctx.pointer = &pointer;
+      ii::WalkStepCounters counters;
+      ii::AbWalkState walk;
       {
-        ii::ConfidenceKernel kernel(eval, TableauType::kHold);
-        ctx.sp = kernel.sp();
+        ii::ConfidenceKernel kernel(eval, options.type);
         kernel.BeginAnchor(anchor);
-        walk.Begin(anchor, ctx);
-        for (uint64_t p = 0; p < cut && !walk.done(); ++p) {
-          walk.Advance(kernel.SparseArea(walk.probe_j()), ctx);
+        walk.Begin(anchor, kernel, ctx);
+        for (int s = 0; s < cut && !walk.done(); ++s) {
+          walk.Step(kernel, ctx, &scratch, &counters);
         }
       }  // pre-append kernel dies with the append below
 
       growing.Append(tail_a.data() + n1, tail_b.data() + n1, n2 - n1);
       ASSERT_EQ(growing.n(), n2);
 
-      ii::ConfidenceKernel resumed_kernel(eval, TableauType::kHold);
-      ctx.sp = resumed_kernel.sp();
+      ii::ConfidenceKernel resumed_kernel(eval, options.type);
       resumed_kernel.BeginAnchor(anchor);
-      ii::AbOptWalkState resumed = walk;  // checkpoint crossing the batch
+      ii::AbWalkState resumed = walk;  // checkpoint crossing the batch
+      std::vector<int64_t> pointer_copy = pointer;
+      ctx.pointer = &pointer_copy;
+      ii::WalkStepCounters resumed_counters = counters;
+      ii::AbWalkScratch fresh_scratch;
       while (!resumed.done()) {
-        resumed.Advance(resumed_kernel.SparseArea(resumed.probe_j()), ctx);
+        resumed.Step(resumed_kernel, ctx, &fresh_scratch, &resumed_counters);
       }
-      ASSERT_EQ(resumed.breakpoints(), reference)
+      ASSERT_EQ(resumed.best_j(), reference.best_j())
           << "anchor " << anchor << " cut " << cut;
-      ASSERT_EQ(resumed.probes(), ref_probes);
+      ASSERT_EQ(resumed.best_conf(), reference.best_conf());
+      ASSERT_EQ(resumed_counters.tested, ref_counters.tested);
+      ASSERT_EQ(resumed_counters.steps, ref_counters.steps);
+      ASSERT_EQ(resumed_counters.batches, ref_counters.batches);
     }
   }
 }
 
-// --- Width resolution and CONSERVATION_SIMD parsing -------------------------
-
-TEST(WalkWidth, ResolveRules) {
+// The NAB counterpart: a right anchor j <= n1 checkpointed at every reverse
+// block before the append resumes bitwise against the rebuilt kernel.
+TEST(NabWalkResume, CrossBatchAppendBoundary) {
+  const int64_t n1 = 400;
+  const int64_t n2 = 700;
+  datagen::JobLogParams params;
+  params.num_ticks = n2;
+  const series::CountSequence counts = datagen::GenerateJobLog(params).counts;
+  const series::CumulativeSeries prefix_series(counts.Prefix(n1));
+  const ConfidenceEvaluator prefix_eval(&prefix_series,
+                                        ConfidenceModel::kBalance);
   GeneratorOptions options;
-  // Scalar backend always walks one anchor at a time, whatever the knob.
-  options.walk_width = 64;
-  EXPECT_EQ(ii::ResolveWalkWidth(options, ii::SimdBackend::kScalar), 1);
-  // Explicit width is clamped to the scheduler cap.
-  options.walk_width = 100000;
-  EXPECT_EQ(ii::ResolveWalkWidth(options, ii::SimdBackend::kAvx2),
-            ii::kMaxWalkWidth);
-  options.walk_width = 7;
-  EXPECT_EQ(ii::ResolveWalkWidth(options, ii::SimdBackend::kAvx2), 7);
-  // Auto: lane count x unroll, capped.
-  options.walk_width = 0;
-  EXPECT_EQ(ii::ResolveWalkWidth(options, ii::SimdBackend::kAvx2),
-            std::min(ii::SimdLaneWidth(ii::SimdBackend::kAvx2) * 32,
-                     ii::kMaxWalkWidth));
+  options.type = TableauType::kHold;
+  options.c_hat = 0.9;
+  options.epsilon = 0.01;
+  options.largest_first_early_exit = true;
+  const std::vector<int64_t> lengths =
+      interval::NonAreaBasedGenerator::MakeLengthSchedule(
+          interval::NonAreaBasedGenerator::LengthSchedule::kGeometric,
+          options.epsilon, n1);
+  const ii::NabWalkContext ctx{&lengths, &options};
+  const std::vector<double>& tail_a = counts.outbound();
+  const std::vector<double>& tail_b = counts.inbound();
+
+  for (const int64_t j : {1L, 64L, 399L, 400L}) {
+    size_t first_covering = lengths.size() - 1;
+    while (first_covering > 0 && lengths[first_covering - 1] >= j) {
+      --first_covering;
+    }
+    const size_t applicable = first_covering + 1;
+
+    ii::NabWalkScratch scratch;
+    ii::WalkStepCounters ref_counters;
+    ii::NabWalkState reference;
+    int total_steps = 0;
+    {
+      ii::ConfidenceKernel kernel(prefix_eval, options.type);
+      kernel.BeginRightAnchor(j);
+      reference.Begin(j, applicable);
+      while (!reference.finished) {
+        reference.Step(kernel, ctx, &scratch, &ref_counters);
+        ++total_steps;
+      }
+    }
+
+    for (int cut = 0; cut <= total_steps; ++cut) {
+      series::CumulativeSeries growing(counts.Prefix(n1));
+      const ConfidenceEvaluator eval(&growing, ConfidenceModel::kBalance);
+      ii::WalkStepCounters counters;
+      ii::NabWalkState walk;
+      {
+        ii::ConfidenceKernel kernel(eval, options.type);
+        kernel.BeginRightAnchor(j);
+        walk.Begin(j, applicable);
+        for (int s = 0; s < cut && !walk.finished; ++s) {
+          walk.Step(kernel, ctx, &scratch, &counters);
+        }
+      }
+
+      growing.Append(tail_a.data() + n1, tail_b.data() + n1, n2 - n1);
+      ASSERT_EQ(growing.n(), n2);
+
+      ii::ConfidenceKernel resumed_kernel(eval, options.type);
+      resumed_kernel.BeginRightAnchor(j);
+      ii::NabWalkState resumed = walk;
+      ii::WalkStepCounters resumed_counters = counters;
+      ii::NabWalkScratch fresh_scratch;
+      while (!resumed.finished) {
+        resumed.Step(resumed_kernel, ctx, &fresh_scratch, &resumed_counters);
+      }
+      ASSERT_EQ(resumed.best_i, reference.best_i) << "j " << j << " cut "
+                                                  << cut;
+      ASSERT_EQ(resumed.best_conf, reference.best_conf);
+      ASSERT_EQ(resumed_counters.tested, ref_counters.tested);
+      ASSERT_EQ(resumed_counters.batches, ref_counters.batches);
+    }
+  }
 }
+
+// --- Fields kept without effect ---------------------------------------------
+
+// GeneratorOptions::walk_width and ::sketch_nab_right are kept only so that
+// existing callers still compile; setting them must change nothing: same
+// candidates bitwise, same counters, and the kept walk_lanes /
+// walk_lane_slots stats stay zero.
+TEST(KeptOptions, WalkWidthAndSketchNabRightHaveNoEffect) {
+  const int64_t n = 3000;
+  const series::CumulativeSeries& cumulative = JobSeries(n);
+  const ConfidenceEvaluator eval(&cumulative, ConfidenceModel::kBalance);
+  for (const auto kind : {interval::AlgorithmKind::kAreaBased,
+                          interval::AlgorithmKind::kAreaBasedOpt,
+                          interval::AlgorithmKind::kNonAreaBased,
+                          interval::AlgorithmKind::kNonAreaBasedOpt}) {
+    const auto generator = interval::MakeGenerator(kind);
+    GeneratorOptions options;
+    options.type = TableauType::kHold;
+    options.c_hat = 0.99;
+    options.epsilon = 0.01;
+    interval::GeneratorStats ref_stats;
+    const std::vector<Candidate> reference =
+        generator->GenerateCandidates(eval, options, &ref_stats);
+    ASSERT_GT(ref_stats.intervals_tested, 0u);
+
+    for (const int threads : {1, 3}) {
+      GeneratorOptions run = options;
+      run.num_threads = threads;
+      run.walk_width = 7;
+      run.sketch_nab_right = true;
+      interval::GeneratorStats stats;
+      const std::vector<Candidate> got =
+          generator->GenerateCandidates(eval, run, &stats);
+      ASSERT_EQ(got.size(), reference.size())
+          << "kind " << static_cast<int>(kind) << " threads " << threads;
+      for (size_t k = 0; k < got.size(); ++k) {
+        ASSERT_EQ(got[k].interval.begin, reference[k].interval.begin);
+        ASSERT_EQ(got[k].interval.end, reference[k].interval.end);
+        ASSERT_EQ(got[k].confidence, reference[k].confidence);
+      }
+      EXPECT_EQ(stats.intervals_tested, ref_stats.intervals_tested);
+      EXPECT_EQ(stats.anchors_pruned, ref_stats.anchors_pruned);
+      EXPECT_EQ(stats.walk_lanes, 0u);
+      EXPECT_EQ(stats.walk_lane_slots, 0u);
+    }
+    EXPECT_EQ(ref_stats.walk_lanes, 0u);
+    EXPECT_EQ(ref_stats.walk_lane_slots, 0u);
+  }
+}
+
+// --- CONSERVATION_SIMD parsing ----------------------------------------------
 
 TEST(SimdRequestParse, CaseInsensitiveAndStrict) {
   using ii::ParseSimdRequest;
@@ -490,7 +488,7 @@ TEST(SimdRequestParse, CaseInsensitiveAndStrict) {
   EXPECT_EQ(ParseSimdRequest("OFF"), SimdRequest::kScalar);
   EXPECT_EQ(ParseSimdRequest("Scalar"), SimdRequest::kScalar);
   EXPECT_EQ(ParseSimdRequest("AVX2"), SimdRequest::kAvx2);
-  EXPECT_EQ(ParseSimdRequest("Neon"), SimdRequest::kNeon);
+  EXPECT_EQ(ParseSimdRequest("Neon"), SimdRequest::kInvalid);
   EXPECT_EQ(ParseSimdRequest("sse9"), SimdRequest::kInvalid);
   EXPECT_EQ(ParseSimdRequest("avx512"), SimdRequest::kInvalid);
   EXPECT_EQ(ParseSimdRequest("a-very-long-token"), SimdRequest::kInvalid);

@@ -1,25 +1,23 @@
 #!/usr/bin/env python3
 """Compare two bench --json files and print per-config deltas.
 
-Records are keyed by (bench, n, algorithm, model, threads, k, walk_width,
-sketch, sketch_block, incr_mode, batch, rate); k is 0 for records without a
+Records are keyed by (bench, n, algorithm, model, threads, k, sketch,
+sketch_block, incr_mode, batch, rate); k is 0 for records without a
 candidate-count dimension (everything except the cover bench, which
-sweeps k at fixed n), walk_width is 0 for records without a walk-width
-dimension (everything except the walks bench, which sweeps it at fixed
-n), sketch / sketch_block are "" / 0 outside the sketch bench (which
-sweeps screen off-vs-auto at a fixed block span), and incr_mode / batch
-are "" / 0 outside the incremental-maintenance bench (which compares
-per-batch AppendBatch latency against a from-scratch run at each batch
-size), and rate is 0.0 outside the serving bench (which sweeps tenant
-count and pacing; its batch slot is the append frame size and its
-threads slot the client count). The compared quantity is `seconds`
-(end-to-end wall clock; mean per-batch latency on incr rows). Configs present in only one file are
-listed separately. When both records carry the parallel observability
-block, speedup and imbalance deltas are shown too; when both carry the
-cover block, cover_speedup and stale-re-evaluation deltas are shown;
-when both carry the walk block, lane-occupancy deltas are shown; when
-both carry the sketch block, prune-rate deltas (or bytes-per-tick deltas
-for the store-footprint rows) are shown; when both carry the incr block,
+sweeps k at fixed n), sketch / sketch_block are "" / 0 outside the sketch
+bench (which sweeps screen off-vs-auto at a fixed block span), and
+incr_mode / batch are "" / 0 outside the incremental-maintenance bench
+(which compares per-batch AppendBatch latency against a from-scratch run
+at each batch size), and rate is 0.0 outside the serving bench (which
+sweeps tenant count and pacing; its batch slot is the append frame size
+and its threads slot the client count). The compared quantity is
+`seconds` (end-to-end wall clock; mean per-batch latency on incr rows).
+Configs present in only one file are listed separately. When both
+records carry the parallel observability block, speedup and imbalance
+deltas are shown too; when both carry the cover block, cover_speedup and
+stale-re-evaluation deltas are shown; when both carry the sketch block,
+prune-rate deltas (or bytes-per-tick deltas for the store-footprint rows)
+are shown; when both carry the incr block,
 amortized-speedup and warm-heap-pop deltas are shown. Measurement
 provenance (repeats / warmups, like the SIMD backend and the raw
 pruned/scanned and rebuild/dirty counters) is dropped from keys and
@@ -79,7 +77,6 @@ def load_records(path, hosts):
             record.get("model", ""),
             record.get("threads", 1),
             record.get("k", 0),
-            record.get("walk_width", 0),
             record.get("sketch", ""),
             record.get("sketch_block", 0),
             record.get("incr_mode", ""),
@@ -94,13 +91,11 @@ def load_records(path, hosts):
 
 
 def fmt_key(key):
-    bench, n, algorithm, model, threads, k, walk_width, sketch, \
-        sketch_block, incr_mode, batch, rate = key
+    bench, n, algorithm, model, threads, k, sketch, sketch_block, \
+        incr_mode, batch, rate = key
     text = f"{bench} n={n} {algorithm} {model} threads={threads}"
     if k:
         text += f" k={k}"
-    if walk_width:
-        text += f" walk_width={walk_width}"
     if sketch:
         text += f" sketch={sketch}"
     if sketch_block:
@@ -172,9 +167,6 @@ def main():
         if "stale_reevaluations" in o and "stale_reevaluations" in n:
             extras.append(f"stale {o['stale_reevaluations']} -> "
                           f"{n['stale_reevaluations']}")
-        if "lane_occupancy" in o and "lane_occupancy" in n:
-            extras.append(f"occupancy {o['lane_occupancy']:.3f} -> "
-                          f"{n['lane_occupancy']:.3f}")
         if "prune_rate" in o and "prune_rate" in n:
             extras.append(f"prune_rate {o['prune_rate']:.3f} -> "
                           f"{n['prune_rate']:.3f}")

@@ -18,17 +18,11 @@
 //                  (default 1; results are identical for every setting)
 //   --chunks_per_thread=<k>  scheduler chunks per worker (default 12);
 //                  load-balance knob only, results identical for every value
-//   --walk_width=<w>  concurrent resumable anchor walks per chunk in the
-//                  AB-opt cross-anchor scheduler (default 0 = auto: SIMD
-//                  lane count x unroll; 1 = scalar walk); results identical
-//                  for every value
-//   --sketch=auto|off  quantized-sketch anchor screen (default auto);
-//                  conservative pre-pass only, candidates are bit-identical
-//                  for both settings (env CONSERVATION_SKETCH overrides)
+//   --sketch=auto|off  quantized-sketch anchor screen for the exhaustive,
+//                  area and area_opt generators (default auto); conservative
+//                  pre-pass only, candidates are bit-identical for both
+//                  settings (env CONSERVATION_SKETCH overrides)
 //   --sketch_block=<t> ticks per sketch block (default 256)
-//   --sketch_nab_right  also screen NAB/NAB-opt right anchors with the
-//                  sketch (default off, DESIGN.md §4f); bit-identical
-//                  either way
 // Incremental replay (DESIGN.md §4g):
 //   --append_batch=<m>  replay the input through the incremental engine in
 //                  append batches of m ticks, print the maintained tableau
@@ -338,10 +332,6 @@ int main(int argc, char** argv) {
   }
   if (*chunks_per_thread < 1) return Fail("--chunks_per_thread must be >= 1");
   request.chunks_per_thread = static_cast<int>(*chunks_per_thread);
-  auto walk_width = flags.GetIntOr("walk_width", 0);
-  if (!walk_width.ok()) return Fail(walk_width.status().ToString());
-  if (*walk_width < 0) return Fail("--walk_width must be >= 0 (0 = auto)");
-  request.walk_width = static_cast<int>(*walk_width);
 
   const std::string sketch = flags.GetStringOr("sketch", "auto");
   if (sketch == "off") {
@@ -352,9 +342,6 @@ int main(int argc, char** argv) {
   auto sketch_block = flags.GetIntOr("sketch_block", 256);
   if (!sketch_block.ok()) return Fail(sketch_block.status().ToString());
   request.sketch_block = *sketch_block;  // range-checked by ValidateRequest
-  auto sketch_nab_right = flags.GetBoolOr("sketch_nab_right", false);
-  if (!sketch_nab_right.ok()) return Fail(sketch_nab_right.status().ToString());
-  request.sketch_nab_right = *sketch_nab_right;
 
   std::printf("n = %lld ticks; overall %s confidence = %s\n",
               static_cast<long long>(rule->n()),
